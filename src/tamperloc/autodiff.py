@@ -4,12 +4,19 @@ A ``Tensor`` wraps a float64 array. Every primitive op records its parents and
 a closure that routes the output gradient back to them; ``backward`` replays
 the tape in reverse topological order. Gradients are only materialised for
 tensors that require them (directly or through a parent), so feeding constant
-inputs is cheap.
+inputs is cheap. Inside ``with no_grad():`` ops record nothing at all, so an
+inference pass keeps no tape and each intermediate array is freed as soon as
+no later op needs it.
 
-The op set is deliberately small: exactly what the fusion network needs.
+The op set is deliberately small: what the fusion network needs, plus
+``softmax``. ``attention`` is one fused op for scaled dot-product attention;
+it works through blocks of query rows, so its memory grows linearly in the
+token count.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -17,6 +24,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import PipelineError
 
 LAYER_NORM_EPS = 1e-12
+
+# Query rows per attention block. Blocks of 64-256 rows timed within 10% of
+# each other at 256 and 2304 tokens (64 and 192 px frames).
+ATTENTION_BLOCK = 128
+
+_grad_enabled = True
 
 
 class Tensor:
@@ -37,11 +50,26 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.grad is not None else 'no'})"
 
 
+@contextmanager
+def no_grad():
+    """Record no tape for ops run inside the block (nesting is allowed).
+
+    Outputs never require gradients, so ``backward`` on them raises
+    ``no-tape``; parameters keep their ``requires_grad`` flag and ``grad``.
+    """
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    needs = any(p.requires_grad for p in parents)
-    out.requires_grad = needs
-    if needs:
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     return out
@@ -175,6 +203,8 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``. The network uses ``attention`` instead; this
+    stays a public op because ``tamperbench/tracing.py`` wraps it by name."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
@@ -184,6 +214,56 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         _accumulate(x, y * (g - inner))
 
     return _make(y, (x,), back)
+
+
+def attention(q, k, v, scale: float) -> Tensor:
+    """Scaled dot-product attention ``softmax(scale * q @ k^T) @ v``.
+
+    ``q``, ``k`` and ``v`` are (heads, n, dh). Query rows are processed in
+    blocks of ``ATTENTION_BLOCK``; every row's softmax is complete within its
+    block, so each output row comes from the same numpy ops, in the same
+    order, as the dense computation. The backward pass recomputes each
+    block's probabilities instead of storing them. Beyond the inputs, the
+    output and the gradients, forward and backward hold O(heads *
+    ATTENTION_BLOCK * n) floats at a time, never the O(heads * n^2) score
+    matrix.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    qd, kd, vd = q.data, k.data, v.data
+    kt = np.swapaxes(kd, -1, -2)
+    n = qd.shape[-2]
+    block = ATTENTION_BLOCK
+    starts = range(0, n, block)
+
+    def probs(lo):
+        s = qd[..., lo : lo + block, :] @ kt
+        s *= scale
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        return s
+
+    out = np.empty(qd.shape[:-1] + vd.shape[-1:])
+    for lo in starts:
+        out[..., lo : lo + block, :] = probs(lo) @ vd
+
+    def back(g):
+        dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        for lo in starts:
+            p = probs(lo)
+            gb = g[..., lo : lo + block, :]
+            dv += np.swapaxes(p, -1, -2) @ gb
+            ds = gb @ np.swapaxes(vd, -1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            dq[..., lo : lo + block, :] = ds @ kd
+            dk += np.swapaxes(ds, -1, -2) @ qd[..., lo : lo + block, :]
+        _accumulate(q, dq)
+        _accumulate(k, dk)
+        _accumulate(v, dv)
+
+    return _make(out, (q, k, v), back)
 
 
 def layer_norm(x: Tensor, axis: int = -1, eps: float = LAYER_NORM_EPS) -> Tensor:

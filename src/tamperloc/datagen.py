@@ -446,16 +446,34 @@ def make_dataset(
 
 
 def load_manifest(data_dir) -> DatasetManifest:
+    """Read a corpus manifest; anything unreadable as one is ``bad-manifest``."""
     try:
         with open(os.path.join(data_dir, MANIFEST_NAME), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise PipelineError("io-error", f"cannot read manifest in {data_dir}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or UTF-8
+        raise PipelineError("bad-manifest", f"{MANIFEST_NAME} in {data_dir}: {exc}") from None
+    if not _manifest_schema_ok(doc):
+        raise PipelineError("bad-manifest", f"{MANIFEST_NAME} in {data_dir} lacks the corpus fields")
     return DatasetManifest(
         seed=doc["seed"],
         size=doc["size"],
         counts=doc["counts"],
         items=tuple(doc["items"]),
+    )
+
+
+def _manifest_schema_ok(doc) -> bool:
+    """The fields ``DatasetManifest`` and ``load_split`` read, with their types."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("counts"), dict):
+        return False
+    if any(type(doc.get(key)) is not int for key in ("seed", "size")):
+        return False
+    items = doc.get("items")
+    return isinstance(items, list) and all(
+        isinstance(item, dict) and all(isinstance(item.get(key), str) for key in ("frame", "mask", "split"))
+        for item in items
     )
 
 

@@ -194,26 +194,40 @@ def save_model(path, params: ParamStore, views: "Sequence[str] | None" = None) -
     write_tensorfile(path, records)
 
 
+def _integer_row(table: dict, key: str, length: int) -> list[int]:
+    """A metadata row of ``length`` finite integral values, as Python ints."""
+    row = table[key]
+    if row.shape != (length,) or not np.all(np.isfinite(row)) or np.any(row != np.rint(row)):
+        raise PipelineError("corrupt-record", f"{key} must hold {length} integers, got {row}")
+    return [int(v) for v in row]
+
+
 def load_model(path) -> tuple[ParamStore, tuple[str, ...]]:
     """Rebuild a ParamStore and its train-time feature switches."""
     table = dict(read_tensorfile(path))
     for key in (_META_ARCH, _META_FEATURES, _META_SEED):
         if key not in table:
             raise PipelineError("corrupt-record", f"missing {key}")
-    row = table[_META_ARCH]
-    if row.shape != (10,):
-        raise PipelineError("corrupt-record", f"bad arch row {row.shape}")
-    cfg = ArchConfig(
-        variant=VARIANTS[int(row[0])],
-        input_channels=int(row[1]),
-        stage1_widths=(int(row[2]), int(row[3]), int(row[4])),
-        branch_width=int(row[5]),
-        token_dim=int(row[6]),
-        heads=int(row[7]),
-        encoder_layers=int(row[8]),
-        mlp_ratio=int(row[9]),
-    )
-    seed = int(table[_META_SEED][0]) * 2**24 + int(table[_META_SEED][1])
+    row = _integer_row(table, _META_ARCH, 10)
+    if not 0 <= row[0] < len(VARIANTS):
+        raise PipelineError("corrupt-record", f"unknown variant index {row[0]}")
+    try:
+        cfg = ArchConfig(
+            variant=VARIANTS[row[0]],
+            input_channels=row[1],
+            stage1_widths=(row[2], row[3], row[4]),
+            branch_width=row[5],
+            token_dim=row[6],
+            heads=row[7],
+            encoder_layers=row[8],
+            mlp_ratio=row[9],
+        )
+    except PipelineError as exc:
+        raise PipelineError("corrupt-record", f"{_META_ARCH}: {exc}") from None
+    high, low = _integer_row(table, _META_SEED, 2)
+    seed = high * 2**24 + low
+    if table[_META_FEATURES].shape != (len(FEATURE_VIEWS),):
+        raise PipelineError("corrupt-record", f"bad feature row {table[_META_FEATURES].shape}")
     tensors: dict[str, Tensor] = {}
     for name, shape, _ in param_spec(cfg):
         if name not in table:

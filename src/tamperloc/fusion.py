@@ -6,8 +6,9 @@ on stride-4 tokens, and decodes with a 1x1 head, nearest x4 upsampling and a
 sigmoid. Three ablation layouts rearrange the same pieces: convolutions only,
 attention only, and attention before convolutions.
 
-Everything runs through :mod:`tamperloc.autodiff`, so one forward pass builds
-the complete tape for exact reverse-mode gradients.
+Everything runs through :mod:`tamperloc.autodiff`, so one ``forward_graph``
+pass builds the complete tape for exact reverse-mode gradients; ``forward``
+runs the same ops under ``no_grad`` and keeps no tape.
 """
 
 from __future__ import annotations
@@ -251,8 +252,7 @@ def _attention_block(
     k = split(ad.add(ad.matmul(h, p[prefix + "attn.wk"]), p[prefix + "attn.bk"]))
     v = split(ad.add(ad.matmul(h, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]))
 
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    ctx = ad.matmul(ad.softmax(scores, axis=-1), v)  # (heads, n, dh)
+    ctx = ad.attention(q, k, v, 1.0 / math.sqrt(dh))  # (heads, n, dh)
     ctx = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (n, d))
     tokens = ad.add(tokens, ad.add(ad.matmul(ctx, p[prefix + "attn.wo"]), p[prefix + "attn.bo"]))
 
@@ -361,8 +361,12 @@ def forward_graph(params: ParamStore, x, pad_mode: str = "zero") -> tuple[Tensor
 
 
 def forward(params: ParamStore, x, pad_mode: str = "zero") -> np.ndarray:
-    """Predicted tamper probabilities, shape (H, W), each strictly in (0, 1)."""
-    _, probs = _forward_graph(params, Tensor(_stack_data(x)), pad_mode)
+    """Predicted tamper probabilities, shape (H, W), each strictly in (0, 1).
+
+    Runs without a tape: nothing is kept for a backward pass.
+    """
+    with ad.no_grad():
+        _, probs = _forward_graph(params, Tensor(_stack_data(x)), pad_mode)
     return probs.data
 
 

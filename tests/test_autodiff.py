@@ -48,6 +48,18 @@ def weighted_mean(out: Tensor, seed: int = 99) -> Tensor:
     return ad.mean_all(ad.mul(out, Tensor(w)))
 
 
+def dense_attention(q, k, v, scale):
+    """The full (heads, n, n) score matrix, no blocking."""
+    s = scale * (q @ np.swapaxes(k, -1, -2))
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)) @ v
+
+
+def qkv(seed, heads, n, dh):
+    rng = default_rng(seed)
+    return [rng.normal(size=(heads, n, dh)) * 2.0 for _ in range(3)]
+
+
 class TestForwardValues:
     def test_add_mul_neg_match_numpy(self):
         rng = default_rng(0)
@@ -91,6 +103,20 @@ class TestForwardValues:
         np.testing.assert_allclose(y.sum(axis=-1), np.ones(3), rtol=1e-12)
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         np.testing.assert_allclose(y, e / e.sum(axis=-1, keepdims=True), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 8, 13, 24])
+    def test_attention_matches_dense_across_block_edges(self, monkeypatch, n):
+        # block 8: n below, equal to, not a multiple of, and a multiple of it
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8)
+        q, k, v = qkv(n, 3, n, 4)
+        got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+        np.testing.assert_allclose(got, dense_attention(q, k, v, 0.5), rtol=1e-12, atol=1e-12)
+
+    def test_attention_default_block_matches_dense(self):
+        n = 2 * ad.ATTENTION_BLOCK + 37
+        q, k, v = qkv(3, 2, n, 8)
+        got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 8**-0.5).data
+        np.testing.assert_allclose(got, dense_attention(q, k, v, 8**-0.5), rtol=1e-12, atol=1e-12)
 
     def test_layer_norm_standardises_rows(self):
         x = default_rng(3).normal(size=(4, 7)) * 3.0 + 2.0
@@ -221,6 +247,13 @@ class TestBackward:
     def test_softmax(self):
         check_gradients(lambda ts: weighted_mean(ad.softmax(ts[0], axis=-1)), [default_rng(19).normal(size=(3, 5))])
 
+    def test_attention_spanning_three_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 4)
+        check_gradients(
+            lambda ts: weighted_mean(ad.attention(ts[0], ts[1], ts[2], 0.7)),
+            [a * 0.5 for a in qkv(19, 2, 10, 3)],
+        )
+
     def test_layer_norm(self):
         check_gradients(lambda ts: weighted_mean(ad.layer_norm(ts[0])), [default_rng(20).normal(size=(3, 6))])
 
@@ -282,3 +315,38 @@ class TestBackward:
         loss = ad.neg(ad.mean_all(ad.add(ad.mul(y, log_p), ad.mul(1.0 - y, log_not_p))))
         ad.backward(loss)
         np.testing.assert_allclose(z.grad, (p.data - y) / y.size, rtol=1e-12)
+
+
+class TestNoGrad:
+    def test_backward_inside_raises_no_tape(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with ad.no_grad():
+            out = ad.mean_all(ad.mul(x, 2.0))
+            assert not out.requires_grad
+            with pytest.raises(PipelineError, match="no-tape"):
+                ad.backward(out)
+        assert x.requires_grad and x.grad is None
+
+    def test_values_match_the_taped_op(self):
+        q, k, v = qkv(7, 2, 9, 3)
+        taped = ad.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), 0.3)
+        with ad.no_grad():
+            free = ad.attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), 0.3)
+        assert taped.data.tobytes() == free.data.tobytes()
+
+    def test_flag_restored_after_exception(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("boom")
+        assert ad.neg(x).requires_grad
+
+    def test_flag_restored_after_nesting(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.neg(x).requires_grad
+            assert not ad.neg(x).requires_grad
+        out = ad.mean_all(ad.neg(x))
+        ad.backward(out)
+        np.testing.assert_array_equal(x.grad, [-0.5, -0.5])

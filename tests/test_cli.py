@@ -6,7 +6,7 @@ import pytest
 
 from tamperloc.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main, entry
 from tamperloc.datagen import load_manifest
-from tamperloc.formats import read_pgm, read_tensorfile
+from tamperloc.formats import read_pgm, read_tensorfile, write_tensorfile
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,27 @@ class TestDataErrors:
     def test_train_on_missing_corpus(self, tmp_path):
         code = cli_main(["train", "--data", str(tmp_path / "no"), "--out", str(tmp_path / "m.uvlt")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_infer_with_corrupt_variant_index(self, corpus, model, tmp_path, capsys, value):
+        records = read_tensorfile(model)
+        for name, array in records:
+            if name == "meta.arch":
+                array[0] = value
+        bad = tmp_path / "bad.uvlt"
+        write_tensorfile(bad, records)
+        frame = next(corpus.glob("*.ppm"))
+        code = cli_main(["infer", "--model", str(bad), "--in", str(frame), "--out", str(tmp_path / "m.pgm")])
+        assert code == EXIT_DATA
+        assert "corrupt-record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{", "{}"])
+    def test_train_and_eval_on_malformed_manifest(self, model, tmp_path, capsys, text):
+        (tmp_path / "manifest.json").write_text(text)
+        assert cli_main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.uvlt")]) == EXIT_DATA
+        report = str(tmp_path / "r.json")
+        assert cli_main(["eval", "--model", str(model), "--data", str(tmp_path), "--json", report]) == EXIT_DATA
+        assert capsys.readouterr().err.count("bad-manifest") == 2
 
     def test_infer_with_missing_model(self, corpus, tmp_path):
         frame = next(corpus.glob("*.ppm"))

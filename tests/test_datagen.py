@@ -7,6 +7,7 @@ import pytest
 from numpy.random import default_rng
 
 from tamperloc.datagen import (
+    MANIFEST_NAME,
     MASK_FRACTION_BOUNDS,
     QUALITY_CHOICES,
     SIGMA_CHOICES,
@@ -314,6 +315,24 @@ class TestMakeDataset:
     def test_load_manifest_missing_is_io_error(self, tmp_path):
         with pytest.raises(PipelineError, match="io-error"):
             load_manifest(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"{",
+            b"{}",
+            b"[]",
+            b"\xff\xfe{}",
+            b'{"seed": 0, "size": 64, "counts": {}, "items": {}}',
+            b'{"seed": 0, "size": 64, "counts": {}, "items": [{"frame": "f.ppm", "mask": "m.pgm"}]}',
+            b'{"seed": "0", "size": 64, "counts": {}, "items": []}',
+        ],
+        ids=["truncated", "empty-object", "array", "not-utf8", "items-not-list", "item-without-split", "string-seed"],
+    )
+    def test_malformed_manifest_is_bad_manifest(self, tmp_path, blob):
+        (tmp_path / MANIFEST_NAME).write_bytes(blob)
+        with pytest.raises(PipelineError, match="bad-manifest"):
+            load_split(tmp_path, "all")
 
     def test_load_split_ids_follow_manifest_order(self, tmp_path):
         make_dataset(tmp_path, count=4, size=64, seed=2, train_fraction=0.5)

@@ -275,6 +275,42 @@ class TestModelContainer:
         with pytest.raises(PipelineError, match="corrupt-record"):
             load_model(path)
 
+    @staticmethod
+    def saved_with_row(tmp_path, key, index, value):
+        path = tmp_path / "m.uvlt"
+        save_model(path, init_network(micro_arch(), 0))
+        records = read_tensorfile(path)
+        for name, array in records:
+            if name == key:
+                array[index] = value
+        write_tensorfile(path, records)
+        return path
+
+    @pytest.mark.parametrize(
+        "index,value",
+        [(0, np.nan), (0, -1.0), (0, 4.0), (0, 0.5), (2, np.inf), (5, np.nan), (6, 8.25), (7, 0.0)],
+        ids=["nan-variant", "variant-minus-1", "variant-past-end", "fractional-variant", "inf-width",
+             "nan-branch", "fractional-dim", "zero-heads"],
+    )
+    def test_rejects_corrupt_arch_row(self, tmp_path, index, value):
+        path = self.saved_with_row(tmp_path, "meta.arch", index, value)
+        with pytest.raises(PipelineError, match="corrupt-record"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, 0.5])
+    def test_rejects_corrupt_seed_row(self, tmp_path, value):
+        path = self.saved_with_row(tmp_path, "meta.seed", 1, value)
+        with pytest.raises(PipelineError, match="corrupt-record"):
+            load_model(path)
+
+    def test_rejects_short_feature_row(self, tmp_path):
+        path = tmp_path / "m.uvlt"
+        save_model(path, init_network(micro_arch(), 0))
+        records = [(n, a[:2] if n == "meta.features" else a) for n, a in read_tensorfile(path)]
+        write_tensorfile(path, records)
+        with pytest.raises(PipelineError, match="corrupt-record"):
+            load_model(path)
+
 
 def sample_report() -> MetricsReport:
     rows = (

@@ -189,6 +189,12 @@ class TestForward:
         assert np.all(blocks == blocks[:, :1, :, :1])
 
     @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_only", "vit_cnn"])
+    def test_tape_free_forward_equals_graph_bit_for_bit(self, variant):
+        params = init_network(micro_arch(variant), 8)
+        x = default_rng(14).uniform(0.0, 1.0, (3, 16, 16))
+        assert forward(params, x).tobytes() == forward_graph(params, x)[1].data.tobytes()
+
+    @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_only", "vit_cnn"])
     def test_wrap_padding_translation_consistency(self, variant):
         # a 4-pixel circular shift of the input moves pre-upsample logits one token
         params = init_network(micro_arch(variant), 6)
@@ -293,6 +299,16 @@ class TestFeatureViews:
         f = random_frame(3)
         params = init_network(ArchConfig(), 0)
         np.testing.assert_array_equal(predict(params, f), forward(params, build_feature_stack(f)))
+
+    def test_predict_keeps_no_tape(self, monkeypatch):
+        made = []
+        make = ad._make
+        monkeypatch.setattr(ad, "_make", lambda *args: made.append(make(*args)) or made[-1])
+        cfg = ArchConfig(stage1_widths=(4, 4, 8), branch_width=2, token_dim=8, heads=2, encoder_layers=1)
+        params = init_network(cfg, 0)
+        predict(params, random_frame(5))
+        assert made and all(t._backward_fn is None and not t._parents for t in made)
+        assert all(t.grad is None for t in params.tensors.values())
 
     def test_predict_rejects_non_multiview_arch(self):
         with pytest.raises(PipelineError, match="bad-arch"):
