@@ -47,7 +47,6 @@ from .fusion import (
     build_feature_stack,
     finite_difference_check,
     forward,
-    fuse_features,
     init_network,
     micro_arch,
     predict,
@@ -94,7 +93,6 @@ __all__ = [
     "finite_difference_check",
     "forward",
     "frequency_features",
-    "fuse_features",
     "gabor_bank",
     "gabor_kernel",
     "idct2",

@@ -117,14 +117,25 @@ def mirror_indices(n: int, start: int, stop: int) -> np.ndarray:
     return np.where(idx < n, idx, period - idx)
 
 
-def mirror_pad_to_multiple(channel: np.ndarray, block: int) -> np.ndarray:
-    """Reflect-extend a 2-D channel on the bottom/right to multiples of ``block``."""
-    h, w = channel.shape
-    hp = -(-h // block) * block
-    wp = -(-w // block) * block
-    rows = mirror_indices(h, 0, hp)
-    cols = mirror_indices(w, 0, wp)
-    return channel[np.ix_(rows, cols)]
+def mirror_pad(data: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """Reflect-extend the last two axes of ``data`` by the given margins.
+
+    Margins may exceed the side (see :func:`mirror_indices`). Only an axis
+    that gets a margin is indexed, one at a time; column padding leaves a
+    transposed layout, and with no margin ``data`` itself comes back.
+    """
+    h, w = data.shape[-2:]
+    if top or bottom:
+        data = data[..., mirror_indices(h, -top, h + bottom), :]
+    if left or right:
+        data = data[..., mirror_indices(w, -left, w + right)]
+    return data
+
+
+def mirror_pad_to_multiple(data: np.ndarray, block: int) -> np.ndarray:
+    """Reflect-extend the last two axes on the bottom/right to multiples of ``block``."""
+    h, w = data.shape[-2:]
+    return mirror_pad(data, 0, -h % block, 0, -w % block)
 
 
 def apply_kernel_bank(data: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -136,7 +147,8 @@ def apply_kernel_bank(data: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """
     k = kernels.shape[-1]
     pad = k // 2
-    padded = np.pad(data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+    # windows gather faster from C order than from a column-padded layout
+    padded = np.ascontiguousarray(mirror_pad(data, pad, pad, pad, pad))
     win = sliding_window_view(padded, (k, k), axis=(1, 2))  # (C, H, W, k, k)
     out = np.tensordot(win, kernels, axes=([3, 4], [1, 2]))  # (C, H, W, K)
     return np.ascontiguousarray(np.moveaxis(out, 3, 0))
@@ -190,3 +202,20 @@ def luminance(f: Frame) -> FeatureStack:
 def rgb_stack(f: Frame) -> FeatureStack:
     """The frame itself as a labelled three-channel stack."""
     return FeatureStack(f.data, RGB_LABELS)
+
+
+def split_item(entry, index: int) -> "tuple[str, Frame, np.ndarray]":
+    """One dataset item as (id, frame, float64 mask).
+
+    Items are ``(id, frame, mask)`` or ``(frame, mask)`` tuples or lists; the
+    latter is named ``frame_<index>``. Anything else is ``bad-item``, and a
+    mask whose shape is not the frame's is ``shape-mismatch``.
+    """
+    parts = tuple(entry) if isinstance(entry, (tuple, list)) else ()
+    if len(parts) not in (2, 3) or not isinstance(parts[-2], Frame):
+        raise PipelineError("bad-item", f"item {index}: expected (id, Frame, mask) or (Frame, mask)")
+    item_id = str(parts[0]) if len(parts) == 3 else f"frame_{index:04d}"
+    frame, mask = parts[-2], np.asarray(parts[-1], dtype=np.float64)
+    if mask.shape != (frame.height, frame.width):
+        raise PipelineError("shape-mismatch", f"mask {mask.shape} vs frame {frame.height}x{frame.width}")
+    return item_id, frame, mask

@@ -148,7 +148,10 @@ def read_tensorfile(path) -> list[tuple[str, np.ndarray]]:
     records: list[tuple[str, np.ndarray]] = []
     for _ in range(count):
         (name_len,) = struct.unpack("<H", r.take(2, "record name"))
-        name = r.take(name_len, "record name").decode("utf-8")
+        try:
+            name = r.take(name_len, "record name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise PipelineError("corrupt-record", "record name is not UTF-8") from None
         (ndim,) = struct.unpack("<I", r.take(4, "record dims"))
         if ndim > 8:
             raise PipelineError("corrupt-record", f"{name}: implausible ndim {ndim}")

@@ -60,23 +60,27 @@ def band_mask(block_size: int, band: str) -> np.ndarray:
     return np.ones((block_size, block_size), dtype=bool)
 
 
-def band_reconstruct(channel: np.ndarray, block_size: int, band: str) -> np.ndarray:
-    """Blockwise DCT -> band mask -> inverse DCT of one 2-D channel (pre-clamp).
-
-    Transforms over all blocks run batched along the leading axes.
+def blockwise_dct(data: np.ndarray, block: int, op) -> np.ndarray:
+    """Reflect-pad the last two axes to a ``block`` multiple, take the orthonormal
+    DCT-II of every block, apply ``op`` to the ``(..., rows, cols, block, block)``
+    coefficients, invert and crop back.
     """
+    h, w = data.shape[-2:]
+    padded = mirror_pad_to_multiple(data, block)
+    hb, wb = padded.shape[-2] // block, padded.shape[-1] // block
+    blocks = padded.reshape(*padded.shape[:-2], hb, block, wb, block).swapaxes(-3, -2)
+    coeffs = op(dctn(blocks, type=2, norm="ortho", axes=(-2, -1)))
+    recon = idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
+    return recon.swapaxes(-3, -2).reshape(padded.shape)[..., :h, :w]
+
+
+def band_reconstruct(channel: np.ndarray, block_size: int, band: str) -> np.ndarray:
+    """Blockwise DCT -> band mask -> inverse DCT of one 2-D channel (pre-clamp)."""
     channel = np.asarray(channel, dtype=np.float64)
     if channel.ndim != 2:
         raise PipelineError("bad-block", f"expected 2-D channel, got {channel.shape}")
-    h, w = channel.shape
-    padded = mirror_pad_to_multiple(channel, block_size)
-    hb, wb = padded.shape[0] // block_size, padded.shape[1] // block_size
-    blocks = padded.reshape(hb, block_size, wb, block_size).transpose(0, 2, 1, 3)
-    coeffs = dctn(blocks, type=2, norm="ortho", axes=(2, 3))
-    coeffs *= band_mask(block_size, band)
-    recon = idctn(coeffs, type=2, norm="ortho", axes=(2, 3))
-    full = recon.transpose(0, 2, 1, 3).reshape(hb * block_size, wb * block_size)
-    return full[:h, :w]
+    mask = band_mask(block_size, band)
+    return blockwise_dct(channel, block_size, lambda coeffs: coeffs * mask)
 
 
 def frequency_features(f: Frame) -> FeatureStack:

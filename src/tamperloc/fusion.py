@@ -6,6 +6,10 @@ on stride-4 tokens, and decodes with a 1x1 head, nearest x4 upsampling and a
 sigmoid. Three ablation layouts rearrange the same pieces: convolutions only,
 attention only, and attention before convolutions.
 
+:func:`variant_layers` is the one place a variant is described: an ordered
+table of layers. ``param_spec`` declares the parameters and ``forward_graph``
+applies the layers by walking that same table, so the two cannot drift apart.
+
 Everything runs through :mod:`tamperloc.autodiff`, so one ``forward_graph``
 pass builds the complete tape for exact reverse-mode gradients; ``forward``
 runs the same ops under ``no_grad`` and keeps no tape.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -90,27 +94,63 @@ def micro_arch(variant: str = "cnn_vit") -> ArchConfig:
 
 
 def _encoder_specs(cfg: ArchConfig, out):
-    d = cfg.token_dim
+    d, m = cfg.token_dim, cfg.token_dim * cfg.mlp_ratio
     for i in range(cfg.encoder_layers):
         p = f"encoder.{i}."
-        out += [
-            (p + "ln1.scale", (d,), "ones"),
-            (p + "ln1.offset", (d,), "zeros"),
-            (p + "attn.wq", (d, d), d),
-            (p + "attn.bq", (d,), "zeros"),
-            (p + "attn.wk", (d, d), d),
-            (p + "attn.bk", (d,), "zeros"),
-            (p + "attn.wv", (d, d), d),
-            (p + "attn.bv", (d,), "zeros"),
-            (p + "attn.wo", (d, d), d),
-            (p + "attn.bo", (d,), "zeros"),
-            (p + "ln2.scale", (d,), "ones"),
-            (p + "ln2.offset", (d,), "zeros"),
-            (p + "mlp.w1", (d, d * cfg.mlp_ratio), d),
-            (p + "mlp.b1", (d * cfg.mlp_ratio,), "zeros"),
-            (p + "mlp.w2", (d * cfg.mlp_ratio, d), d * cfg.mlp_ratio),
-            (p + "mlp.b2", (d,), "zeros"),
-        ]
+        out += [(p + "ln1.scale", (d,), "ones"), (p + "ln1.offset", (d,), "zeros")]
+        for x in "qkvo":
+            out += [(p + f"attn.w{x}", (d, d), d), (p + f"attn.b{x}", (d,), "zeros")]
+        out += [(p + "ln2.scale", (d,), "ones"), (p + "ln2.offset", (d,), "zeros")]
+        out += [(p + "mlp.w1", (d, m), d), (p + "mlp.b1", (m,), "zeros")]
+        out += [(p + "mlp.w2", (m, d), m), (p + "mlp.b2", (d,), "zeros")]
+
+
+class Layer(NamedTuple):
+    """One row of a variant's layer table; see :func:`variant_layers`."""
+
+    name: str
+    kind: str
+    cin: int
+    cout: int
+    k: int = 1
+    stride: int = 1
+
+
+def variant_layers(cfg: ArchConfig) -> tuple[Layer, ...]:
+    """The ordered layer table of ``cfg.variant``: its op and parameter draw order.
+
+    Kinds: ``conv`` is a k x k same-padded convolution and a ReLU; ``linear``
+    an unpadded convolution alone; ``fuse`` two 1x1 convolutions of its input,
+    ``.fused`` (``cin`` channels, passed on) and ``.branch`` (``cout``, kept
+    aside); ``join`` concatenates the kept branch, average-pooled 2x when it is
+    at double resolution, and applies a 1x1 convolution; ``encoder`` runs the
+    ``encoder_layers`` attention blocks over the grid's tokens.
+    """
+    cin, br, d = cfg.input_channels, cfg.branch_width, cfg.token_dim
+    w1, w2, w3 = cfg.stage1_widths
+    patch, encoder = Layer("patch.proj", "linear", cin, d, 4, 4), Layer("encoder", "encoder", d, d)
+    if cfg.variant == "vit_only":
+        return patch, encoder, Layer("head", "linear", d, 1)
+    if cfg.variant == "vit_cnn":  # attention first, convolutions second
+        return (
+            patch,
+            encoder,
+            Layer("fuse1", "fuse", d, br),
+            Layer("stage2.conv1", "conv", d, w1, 3),
+            Layer("stage2.conv2", "conv", w1, w3, 3),
+            Layer("fuse2.proj", "join", w3 + br, w3),
+            Layer("head", "linear", w3, 1),
+        )
+    post = (Layer("post.conv1", "conv", d, d, 3), Layer("post.conv2", "conv", d, d, 3))
+    return (
+        Layer("stage1.conv1", "conv", cin, w1, 3),
+        Layer("stage1.conv2", "conv", w1, w2, 3, 2),
+        Layer("fuse1", "fuse", w2, br),
+        Layer("stage1.conv3", "conv", w2, w3, 3, 2),
+        Layer("fuse2.proj", "join", w3 + br, d),
+        *((encoder,) if cfg.variant == "cnn_vit" else post),
+        Layer("head", "linear", d, 1),
+    )
 
 
 def param_spec(cfg: ArchConfig) -> list[tuple[str, tuple[int, ...], object]]:
@@ -119,41 +159,20 @@ def param_spec(cfg: ArchConfig) -> list[tuple[str, tuple[int, ...], object]]:
     The order is the draw order for seeded initialisation and the storage
     order everywhere else, so it must stay stable.
     """
-    cin = cfg.input_channels
-    w1, w2, w3 = cfg.stage1_widths
-    br, d = cfg.branch_width, cfg.token_dim
     spec: list[tuple[str, tuple[int, ...], object]] = []
 
-    def conv(name, cout, cin_, k):
-        spec.append((name + ".w", (cout, cin_, k, k), cin_ * k * k))
+    def conv(name, cout, cin, k=1):
+        spec.append((name + ".w", (cout, cin, k, k), cin * k * k))
         spec.append((name + ".b", (cout,), "zeros"))
 
-    if cfg.variant in ("cnn_vit", "cnn_only"):
-        conv("stage1.conv1", w1, cin, 3)
-        conv("stage1.conv2", w2, w1, 3)
-        conv("fuse1.fused", w2, w2, 1)
-        conv("fuse1.branch", br, w2, 1)
-        conv("stage1.conv3", w3, w2, 3)
-        conv("fuse2.proj", d, w3 + br, 1)
-        if cfg.variant == "cnn_vit":
+    for layer in variant_layers(cfg):
+        if layer.kind == "encoder":
             _encoder_specs(cfg, spec)
+        elif layer.kind == "fuse":
+            conv(layer.name + ".fused", layer.cin, layer.cin)
+            conv(layer.name + ".branch", layer.cout, layer.cin)
         else:
-            conv("post.conv1", d, d, 3)
-            conv("post.conv2", d, d, 3)
-        conv("head", 1, d, 1)
-    elif cfg.variant == "vit_only":
-        conv("patch.proj", d, cin, 4)
-        _encoder_specs(cfg, spec)
-        conv("head", 1, d, 1)
-    else:  # vit_cnn: attention first, convolutions second
-        conv("patch.proj", d, cin, 4)
-        _encoder_specs(cfg, spec)
-        conv("fuse1.fused", d, d, 1)
-        conv("fuse1.branch", br, d, 1)
-        conv("stage2.conv1", w1, d, 3)
-        conv("stage2.conv2", w3, w1, 3)
-        conv("fuse2.proj", w3, w3 + br, 1)
-        conv("head", 1, w3, 1)
+            conv(layer.name, layer.cout, layer.cin, layer.k)
     return spec
 
 
@@ -202,39 +221,6 @@ def init_network(cfg: ArchConfig, seed: int) -> ParamStore:
     return ParamStore(cfg, int(seed), tensors)
 
 
-def fuse_features(
-    stage_output: Tensor,
-    carried: "Tensor | None",
-    fused_w: Tensor,
-    fused_b: Tensor,
-    branch_w: Tensor,
-    branch_b: Tensor,
-) -> tuple[Tensor, Tensor]:
-    """Per-stage fusion point.
-
-    Concatenates the stage output with the branch carried over from the
-    previous stage (pooled 2x when it arrives at double resolution), then
-    derives the fused map and the next branch with two separate 1x1
-    convolutions. With ``carried=None`` both come from the stage output alone.
-    """
-    if carried is not None:
-        sh, sw = stage_output.data.shape[1:]
-        ch, cw = carried.data.shape[1:]
-        if (ch, cw) == (2 * sh, 2 * sw):
-            carried = ad.avg_pool2(carried)
-            ch, cw = carried.data.shape[1:]
-        if (ch, cw) != (sh, sw):
-            raise PipelineError("shape-mismatch", f"carried {ch}x{cw} vs stage {sh}x{sw}")
-        joined = ad.concat([stage_output, carried], axis=0)
-    else:
-        joined = stage_output
-    if joined.data.shape[0] != fused_w.data.shape[1]:
-        raise PipelineError("shape-mismatch", f"{joined.data.shape[0]} channels vs weight {fused_w.data.shape}")
-    fused = ad.conv2d(joined, fused_w, fused_b)
-    branch = ad.conv2d(joined, branch_w, branch_b)
-    return fused, branch
-
-
 def _attention_block(
     tokens: Tensor, p: ParamStore, prefix: str, cfg: ArchConfig, relu_trace: list | None = None
 ) -> Tensor:
@@ -266,22 +252,12 @@ def _attention_block(
     return ad.add(tokens, h2)
 
 
-def _grid_to_tokens(grid: Tensor) -> Tensor:
-    c, h, w = grid.data.shape
-    return ad.reshape(ad.transpose(grid, (1, 2, 0)), (h * w, c))
-
-
-def _tokens_to_grid(tokens: Tensor, h: int, w: int) -> Tensor:
-    n, d = tokens.data.shape
-    return ad.transpose(ad.reshape(tokens, (h, w, d)), (2, 0, 1))
-
-
 def _run_encoder(grid: Tensor, p: ParamStore, cfg: ArchConfig, relu_trace: list | None = None) -> Tensor:
-    h, w = grid.data.shape[1:]
-    tokens = _grid_to_tokens(grid)
+    c, h, w = grid.data.shape
+    tokens = ad.reshape(ad.transpose(grid, (1, 2, 0)), (h * w, c))
     for i in range(cfg.encoder_layers):
         tokens = _attention_block(tokens, p, f"encoder.{i}.", cfg, relu_trace)
-    return _tokens_to_grid(tokens, h, w)
+    return ad.transpose(ad.reshape(tokens, (h, w, c)), (2, 0, 1))
 
 
 def _forward_graph(
@@ -304,44 +280,29 @@ def _forward_graph(
     # keeps the ReLU units alive under the zero-bias fan-in init
     x = ad.add(x, Tensor(np.full((1, 1, 1), -0.5)))
 
-    def conv(name, t, stride=1, pad=1):
+    def conv(name, t, stride=1, pad=0):
         return ad.conv2d(t, p[name + ".w"], p[name + ".b"], stride=stride, pad=pad, pad_mode=pad_mode)
 
-    def act(t):
-        if relu_trace is not None:
-            relu_trace.append(t)
-        return ad.relu(t)
-
-    if cfg.variant in ("cnn_vit", "cnn_only"):
-        t = act(conv("stage1.conv1", x))
-        t = act(conv("stage1.conv2", t, stride=2))
-        fused, branch = fuse_features(
-            t, None, p["fuse1.fused.w"], p["fuse1.fused.b"], p["fuse1.branch.w"], p["fuse1.branch.b"]
-        )
-        t = act(conv("stage1.conv3", fused, stride=2))
-        carried = ad.avg_pool2(branch)
-        t = ad.conv2d(ad.concat([t, carried], axis=0), p["fuse2.proj.w"], p["fuse2.proj.b"])
-        if cfg.variant == "cnn_vit":
+    t, branch = x, None
+    for layer in variant_layers(cfg):
+        if layer.kind == "encoder":
             t = _run_encoder(t, p, cfg, relu_trace)
+        elif layer.kind == "fuse":
+            t, branch = conv(layer.name + ".fused", t), conv(layer.name + ".branch", t)
+        elif layer.kind == "join":
+            if branch.data.shape[1:] != t.data.shape[1:]:
+                branch = ad.avg_pool2(branch)
+            t = conv(layer.name, ad.concat([t, branch], axis=0))
+        elif layer.kind == "conv":
+            t = conv(layer.name, t, layer.stride, layer.k // 2)
+            if relu_trace is not None:
+                relu_trace.append(t)
+            t = ad.relu(t)
         else:
-            t = act(conv("post.conv1", t))
-            t = act(conv("post.conv2", t))
-    elif cfg.variant == "vit_only":
-        t = ad.conv2d(x, p["patch.proj.w"], p["patch.proj.b"], stride=4)
-        t = _run_encoder(t, p, cfg, relu_trace)
-    else:  # vit_cnn
-        t = ad.conv2d(x, p["patch.proj.w"], p["patch.proj.b"], stride=4)
-        t = _run_encoder(t, p, cfg, relu_trace)
-        fused, branch = fuse_features(
-            t, None, p["fuse1.fused.w"], p["fuse1.fused.b"], p["fuse1.branch.w"], p["fuse1.branch.b"]
-        )
-        t = act(conv("stage2.conv1", fused))
-        t = act(conv("stage2.conv2", t))
-        t = ad.conv2d(ad.concat([t, branch], axis=0), p["fuse2.proj.w"], p["fuse2.proj.b"])
+            t = conv(layer.name, t, layer.stride)
 
-    logits = ad.conv2d(t, p["head.w"], p["head.b"])  # (1, H/4, W/4)
-    probs = ad.sigmoid(ad.reshape(ad.upsample_nearest(logits, 4), (h, w)))
-    return logits, probs
+    # t is now the head's (1, H/4, W/4) logit grid
+    return t, ad.sigmoid(ad.reshape(ad.upsample_nearest(t, 4), (h, w)))
 
 
 def _stack_data(x) -> np.ndarray:

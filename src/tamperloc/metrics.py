@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Frame
+from .core import split_item
 from .errors import PipelineError
 from .fusion import ParamStore, check_views, predict
 from .perturb import PerturbSpec, perturb_pair
@@ -126,16 +126,12 @@ def evaluate(
 
     rows = []
     for index, item in enumerate(items):
-        if len(item) == 3:
-            item_id, frame, truth = item
-        else:
-            frame, truth = item
-            item_id = f"frame_{index:04d}"
+        item_id, frame, truth = split_item(item, index)
         if perturbation is not None:
             frame, truth = perturb_pair(frame, truth, perturbation, seed=[int(seed), index])
         pred = predict(params, frame, chosen)
         c = confusion_counts(binarize(pred, threshold), truth)
-        rows.append(FrameMetrics(str(item_id), miou(c), f1_score(c), foreground_iou(c)))
+        rows.append(FrameMetrics(item_id, miou(c), f1_score(c), foreground_iou(c)))
 
     return MetricsReport(
         miou=_mean([r.miou for r in rows]),

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from scipy.fft import dctn, idctn
-
-from .core import Frame, mirror_indices
+from .core import Frame, mirror_pad
 from .errors import PipelineError
+from .frequency import blockwise_dct
 
 KINDS = ("none", "compression", "detail", "gaussian", "blur", "median", "flip")
 
@@ -117,21 +116,14 @@ def gaussian_blur(data: np.ndarray, sigma: float, ksize: int) -> np.ndarray:
     """Separable Gaussian blur of (C, H, W) data with reflect padding."""
     taps = gaussian_taps(sigma, ksize)
     r = ksize // 2
-    h, w = data.shape[1:]
-    rows = mirror_indices(h, -r, h + r)
-    out = np.einsum("k,chkw->chw", taps, sliding_window_view(data[:, rows, :], ksize, axis=1).transpose(0, 1, 3, 2))
-    cols = mirror_indices(w, -r, w + r)
-    out = np.einsum("k,chwk->chw", taps, sliding_window_view(out[:, :, cols], ksize, axis=2))
-    return out
+    win = sliding_window_view(mirror_pad(data, r, r, 0, 0), ksize, axis=1).transpose(0, 1, 3, 2)
+    out = np.einsum("k,chkw->chw", taps, win)
+    return np.einsum("k,chwk->chw", taps, sliding_window_view(mirror_pad(out, 0, 0, r, r), ksize, axis=2))
 
 
 def _median_filter(data: np.ndarray, window: int) -> np.ndarray:
     r = window // 2
-    h, w = data.shape[1:]
-    rows = mirror_indices(h, -r, h + r)
-    cols = mirror_indices(w, -r, w + r)
-    padded = data[:, rows[:, None], cols[None, :]]
-    win = sliding_window_view(padded, (window, window), axis=(1, 2))
+    win = sliding_window_view(mirror_pad(data, r, r, r, r), (window, window), axis=(1, 2))
     return np.median(win, axis=(3, 4))
 
 
@@ -145,19 +137,8 @@ def quantize_like_jpeg(data: np.ndarray, quality: float) -> np.ndarray:
     q = float(quality)
     s = (5000.0 / q if q < 50.0 else 200.0 - 2.0 * q) / 100.0
     table = np.maximum(JPEG_LUMA_TABLE * s, 1.0)
-
-    scaled = data * 255.0
-    c, h, w = scaled.shape
-    hp, wp = -(-h // 8) * 8, -(-w // 8) * 8
-    rows = mirror_indices(h, 0, hp)
-    cols = mirror_indices(w, 0, wp)
-    padded = scaled[:, rows[:, None], cols[None, :]]
-    blocks = padded.reshape(c, hp // 8, 8, wp // 8, 8).transpose(0, 1, 3, 2, 4)
-    coeffs = dctn(blocks, type=2, norm="ortho", axes=(3, 4))
-    coeffs = np.rint(coeffs / table) * table
-    recon = idctn(coeffs, type=2, norm="ortho", axes=(3, 4))
-    full = recon.transpose(0, 1, 3, 2, 4).reshape(c, hp, wp)
-    return np.clip(full[:, :h, :w] / 255.0, 0.0, 1.0)
+    recon = blockwise_dct(data * 255.0, 8, lambda coeffs: np.rint(coeffs / table) * table)
+    return np.clip(recon / 255.0, 0.0, 1.0)
 
 
 def perturb_pair(f: Frame, mask: np.ndarray, spec: PerturbSpec, seed=0) -> tuple[Frame, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import Frame
+from .core import Frame, split_item
 from .errors import PipelineError
 from .fusion import (
     FEATURE_VIEWS,
@@ -78,22 +78,6 @@ class Adam:
             tensor.data = tensor.data - step
 
 
-def _normalize_items(dataset) -> list[tuple[Frame, np.ndarray]]:
-    items = []
-    for entry in dataset:
-        if len(entry) == 3:
-            _, frame, mask = entry
-        else:
-            frame, mask = entry
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (frame.height, frame.width):
-            raise PipelineError("shape-mismatch", f"mask {mask.shape} vs frame {frame.height}x{frame.width}")
-        items.append((frame, mask))
-    if not items:
-        raise PipelineError("empty-dataset", "training needs at least one item")
-    return items
-
-
 def _sample_stack(
     cfg: TrainConfig,
     items: list[tuple[Frame, np.ndarray]],
@@ -126,7 +110,9 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
     a batch boundary); the batch loss is the mean of per-sample BCE terms
     accumulated in draw order.
     """
-    items = _normalize_items(dataset)
+    items = [split_item(entry, index)[1:] for index, entry in enumerate(dataset)]
+    if not items:
+        raise PipelineError("empty-dataset", "training needs at least one item")
     params = init_network(arch, cfg.seed)
     opt = Adam(params, cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), _SHUFFLE_TAG]))

@@ -158,11 +158,19 @@ class TestForwardValues:
         y = ad.upsample_nearest(Tensor(x), 2).data
         np.testing.assert_array_equal(y, np.repeat(np.repeat(x, 2, axis=1), 2, axis=2))
 
-    @pytest.mark.parametrize("stride,pad,pad_mode", [(1, 0, "zero"), (1, 1, "zero"), (2, 1, "zero"), (1, 1, "wrap"), (2, 1, "wrap")])
-    def test_conv2d_matches_scalar_loop(self, stride, pad, pad_mode):
+    # 3x3 as in the convolution stages; 1x1 as in the fuse, projection and head
+    # layers; 4x4 at stride 4 as in the patch embedding
+    @pytest.mark.parametrize(
+        "stride,pad,pad_mode,k",
+        [(1, 0, "zero", 3), (1, 1, "zero", 3), (2, 1, "zero", 3), (1, 1, "wrap", 3), (2, 1, "wrap", 3),
+         (1, 0, "zero", 1), (4, 0, "zero", 4)],
+        ids=["1-0-zero", "1-1-zero", "2-1-zero", "1-1-wrap", "2-1-wrap", "1x1", "4x4-stride4"],
+    )
+    def test_conv2d_matches_scalar_loop(self, stride, pad, pad_mode, k):
         rng = default_rng(stride * 10 + pad)
-        x = rng.normal(size=(3, 6, 6))
-        w = rng.normal(size=(2, 3, 3, 3))
+        side = 8 if k == 4 else 6
+        x = rng.normal(size=(3, side, side))
+        w = rng.normal(size=(2, 3, k, k))
         b = rng.normal(size=2)
         got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad, pad_mode=pad_mode).data
         want = correlate2d_strided(x, w, b, stride, pad, pad_mode)

@@ -87,6 +87,16 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert "corrupt-record" in capsys.readouterr().err
 
+    def test_infer_with_non_utf8_record_name(self, corpus, model, tmp_path, capsys):
+        blob = bytearray(model.read_bytes())
+        blob[14] = 0xFF  # first byte of the first record's name
+        bad = tmp_path / "bad.uvlt"
+        bad.write_bytes(bytes(blob))
+        frame = next(corpus.glob("*.ppm"))
+        code = cli_main(["infer", "--model", str(bad), "--in", str(frame), "--out", str(tmp_path / "m.pgm")])
+        assert code == EXIT_DATA
+        assert "corrupt-record" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["{", "{}"])
     def test_train_and_eval_on_malformed_manifest(self, model, tmp_path, capsys, text):
         (tmp_path / "manifest.json").write_text(text)

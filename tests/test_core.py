@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -14,6 +16,7 @@ from tamperloc.core import (
     conv2d_same,
     luminance,
     mirror_indices,
+    mirror_pad,
     mirror_pad_to_multiple,
     rgb_stack,
 )
@@ -94,6 +97,13 @@ class TestMirrorIndices:
         assert np.array_equal(out[:5, :6], channel)
         assert np.array_equal(out[5, :6], channel[3])  # row 5 mirrors row 3
         assert np.array_equal(out[:5, 6], channel[:, 4])  # col 6 mirrors col 4
+
+    @pytest.mark.parametrize("h,w", [(2, 3), (4, 5)])
+    def test_mirror_pad_matches_numpy_reflect_per_side(self, h, w):
+        data = default_rng(h).uniform(size=(3, h, w))
+        for top, bottom, left, right in itertools.product(range(h), range(h), range(w), range(w)):
+            want = np.pad(data, ((0, 0), (top, bottom), (left, right)), mode="reflect")
+            assert np.array_equal(mirror_pad(data, top, bottom, left, right), want)
 
 
 class TestConv2dSame:

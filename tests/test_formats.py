@@ -199,6 +199,13 @@ class TestTensorFile:
         with pytest.raises(PipelineError, match="corrupt-record"):
             read_tensorfile(path)
 
+    def test_rejects_non_utf8_record_name(self, tmp_path):
+        path = tmp_path / "t.uvlt"
+        record = struct.pack("<H", 1) + b"\xff" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"\x00" * 4
+        path.write_bytes(TENSOR_MAGIC + struct.pack("<II", 1, 1) + record)
+        with pytest.raises(PipelineError, match="corrupt-record"):
+            read_tensorfile(path)
+
     def test_rejects_file_ending_inside_record(self, tmp_path):
         path = tmp_path / "t.uvlt"
         write_tensorfile(path, [("v", np.zeros(4))])
@@ -253,6 +260,15 @@ class TestModelContainer:
     def test_rejects_missing_metadata(self, tmp_path):
         path = tmp_path / "m.uvlt"
         write_tensorfile(path, [("weights", np.zeros((2, 2)))])
+        with pytest.raises(PipelineError, match="corrupt-record"):
+            load_model(path)
+
+    def test_rejects_non_utf8_record_name(self, tmp_path):
+        path = tmp_path / "m.uvlt"
+        save_model(path, init_network(micro_arch(), 0))
+        blob = bytearray(path.read_bytes())
+        blob[14] = 0xFF  # first byte of the first record's name
+        path.write_bytes(bytes(blob))
         with pytest.raises(PipelineError, match="corrupt-record"):
             load_model(path)
 

@@ -8,6 +8,7 @@ from tamperloc.frequency import (
     FREQUENCY_LABELS,
     band_mask,
     band_reconstruct,
+    blockwise_dct,
     dct2,
     frequency_features,
     idct2,
@@ -88,6 +89,16 @@ class TestBandReconstruct:
         want = band_reconstruct_blocks(channel, block_size,
                                        lambda u, v, b: bool(mask[u, v]))
         assert np.allclose(got, want, atol=1e-10)
+
+
+class TestBlockwiseDct:
+    @pytest.mark.parametrize("shape", [(13, 21), (3, 10, 7)])
+    @pytest.mark.parametrize("block", [4, 8])
+    def test_identity_op_returns_input(self, shape, block):
+        data = default_rng(len(shape)).uniform(size=shape)
+        out = blockwise_dct(data, block, lambda coeffs: coeffs)
+        assert out.shape == data.shape
+        np.testing.assert_allclose(out, data, rtol=0.0, atol=1e-12)
 
 
 class TestFrequencyFeatures:

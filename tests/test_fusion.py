@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,9 +20,9 @@ from tamperloc.fusion import (
     finite_difference_check,
     forward,
     forward_graph,
-    fuse_features,
     init_network,
     micro_arch,
+    param_spec,
     predict,
 )
 
@@ -103,48 +104,31 @@ class TestInitNetwork:
             init_network(ArchConfig(), -1)
 
 
-class TestFuseFeatures:
-    def _weights(self, cin, cout, seed=0):
-        rng = default_rng(seed)
-        return Tensor(rng.normal(size=(cout, cin, 1, 1))), Tensor(rng.normal(size=cout))
+# sha256 prefixes of the (name, shape, init) table and of init_network(cfg, 0)'s
+# bytes, recorded before the variants were rewritten as one layer table: the
+# draw order, the names and the initial bytes must never move
+LAYOUT_DIGESTS = {
+    ("cnn_vit", "default"): ("d05a3e4bfc690473", "616d887a5a8978bd"),
+    ("cnn_vit", "micro"): ("db6e610b4215d84f", "3f176bd7f1164a80"),
+    ("cnn_only", "default"): ("92b842221496f103", "b05ac7b5681350ea"),
+    ("cnn_only", "micro"): ("d46fc394b61df811", "2c58ae6d5290d1d4"),
+    ("vit_only", "default"): ("f800cfff40ef99f3", "68c9cd12f41d78e1"),
+    ("vit_only", "micro"): ("878f3e71872cac53", "1a02872a1354a983"),
+    ("vit_cnn", "default"): ("83796ec955cec659", "511d13e94ed8a28e"),
+    ("vit_cnn", "micro"): ("91844f64f8bd9d66", "1c02719fd28f9d2a"),
+}
 
-    def test_without_carried_uses_stage_output_alone(self):
-        rng = default_rng(1)
-        stage = Tensor(rng.normal(size=(4, 6, 6)))
-        fw, fb = self._weights(4, 4, 2)
-        bw, bb = self._weights(4, 2, 3)
-        fused, branch = fuse_features(stage, None, fw, fb, bw, bb)
-        assert fused.data.shape == (4, 6, 6)
-        assert branch.data.shape == (2, 6, 6)
-        expected = np.einsum("oi,ihw->ohw", fw.data[:, :, 0, 0], stage.data) + fb.data[:, None, None]
-        np.testing.assert_allclose(fused.data, expected, rtol=1e-12)
 
-    def test_carried_at_double_resolution_is_pooled(self):
-        stage = Tensor(np.zeros((2, 4, 4)))
-        carried = Tensor(np.arange(2 * 8 * 8, dtype=np.float64).reshape(2, 8, 8))
-        fw, fb = self._weights(4, 3, 4)
-        bw, bb = self._weights(4, 2, 5)
-        fused, branch = fuse_features(stage, carried, fw, fb, bw, bb)
-        assert fused.data.shape == (3, 4, 4)
-        pooled = carried.data.reshape(2, 4, 2, 4, 2).mean(axis=(2, 4))
-        joined = np.concatenate([stage.data, pooled], axis=0)
-        expected = np.einsum("oi,ihw->ohw", fw.data[:, :, 0, 0], joined) + fb.data[:, None, None]
-        np.testing.assert_allclose(fused.data, expected, rtol=1e-12)
-
-    def test_zero_weights_give_zero_outputs(self):
-        stage = Tensor(default_rng(6).normal(size=(3, 4, 4)))
-        zeros_w = Tensor(np.zeros((3, 3, 1, 1)))
-        zeros_b = Tensor(np.zeros(3))
-        fused, branch = fuse_features(stage, None, zeros_w, zeros_b, zeros_w, zeros_b)
-        np.testing.assert_array_equal(fused.data, np.zeros((3, 4, 4)))
-        np.testing.assert_array_equal(branch.data, np.zeros((3, 4, 4)))
-
-    def test_spatial_mismatch_rejected(self):
-        stage = Tensor(np.zeros((2, 4, 4)))
-        carried = Tensor(np.zeros((2, 6, 6)))
-        fw, fb = self._weights(4, 3)
-        with pytest.raises(PipelineError, match="shape-mismatch"):
-            fuse_features(stage, carried, fw, fb, fw, fb)
+@pytest.mark.parametrize("variant,arch", sorted(LAYOUT_DIGESTS))
+def test_layout_and_init_bytes_are_pinned(variant, arch):
+    cfg = ArchConfig(variant=variant) if arch == "default" else micro_arch(variant)
+    spec_digest = hashlib.sha256(repr(param_spec(cfg)).encode()).hexdigest()[:16]
+    params = init_network(cfg, 0)
+    init_digest = hashlib.sha256()
+    for name in params.names():
+        init_digest.update(name.encode())
+        init_digest.update(params[name].data.tobytes())
+    assert (spec_digest, init_digest.hexdigest()[:16]) == LAYOUT_DIGESTS[(variant, arch)]
 
 
 class TestForward:
@@ -176,6 +160,12 @@ class TestForward:
         params = init_network(micro_arch(), 0)
         with pytest.raises(PipelineError, match="bad-resolution"):
             forward(params, default_rng(0).uniform(size=(3, 6, 6)))
+
+    @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_only", "vit_cnn"])
+    def test_rejects_bad_pad_mode(self, variant):
+        params = init_network(micro_arch(variant), 0)
+        with pytest.raises(PipelineError, match="bad-pad-mode"):
+            forward_graph(params, micro_input(), pad_mode="reflect")
 
     def test_rejects_wrong_channel_count(self):
         params = init_network(micro_arch(), 0)

@@ -141,6 +141,13 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="empty-dataset"):
             evaluate(init_network(ArchConfig(), 0), [])
 
+    def test_rejects_malformed_items(self):
+        item_id, frame, mask = items_with_masks(1)[0]
+        params = init_network(ArchConfig(), 0)
+        for entry in [(frame,), (item_id, frame, mask, "extra"), (frame.data, mask), (item_id, mask, mask), frame]:
+            with pytest.raises(PipelineError, match="bad-item"):
+                evaluate(params, [entry])
+
     def test_single_frame_report_equals_frame_metrics(self, monkeypatch):
         monkeypatch.setattr(metrics_mod, "predict", lambda params, frame, views: np.full((16, 16), 0.7))
         items = items_with_masks(1)

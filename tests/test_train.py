@@ -100,6 +100,12 @@ class TestTrain:
         with pytest.raises(PipelineError, match="shape-mismatch"):
             train(TrainConfig(steps=1), ArchConfig(), [(f, np.zeros((8, 8)))])
 
+    def test_rejects_malformed_items(self):
+        f, mask = square_item()
+        for entry in [(f,), ("id", f, mask, "extra"), (f.data, mask), ("id", mask, mask), f]:
+            with pytest.raises(PipelineError, match="bad-item"):
+                train(TrainConfig(steps=1), ArchConfig(), [entry])
+
     def test_accepts_both_tuple_layouts(self):
         f, mask = square_item()
         _, h2 = train(TrainConfig(steps=1, batch_size=1), ArchConfig(), [(f, mask)])
