@@ -5,7 +5,10 @@ Conventions used throughout the package:
 * frames are channel-planar ``(3, H, W)`` float64 with samples in ``[0, 1]``;
 * feature stacks are ``(C, H, W)`` float64 with one text label per channel;
 * filtering is cross-correlation (kernels applied as written, never reversed)
-  with reflect padding that mirrors about the edge sample without repeating it;
+  with reflect padding that mirrors about the edge sample without repeating it.
+  That is numpy's ``np.pad(mode="reflect")`` and scipy.ndimage's
+  ``mode="mirror"``; ndimage's ``mode="reflect"`` repeats the edge sample and
+  is wrong here;
 * all internal arithmetic is 64-bit, file formats narrow to 32-bit on write.
 """
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 from .errors import PipelineError
 
@@ -104,54 +107,14 @@ class Kernel2D:
         return self.taps.shape[0]
 
 
-def mirror_indices(n: int, start: int, stop: int) -> np.ndarray:
-    """Indices ``start..stop-1`` folded into ``[0, n)`` by edge-excluding reflection.
-
-    The fold has period ``2n - 2`` (the edge sample is not repeated), so the
-    mapping is valid for arbitrarily wide ranges, not just one kernel radius.
-    """
-    if n == 1:
-        return np.zeros(stop - start, dtype=np.intp)
-    period = 2 * n - 2
-    idx = np.arange(start, stop, dtype=np.intp) % period
-    return np.where(idx < n, idx, period - idx)
-
-
-def mirror_pad(data: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    """Reflect-extend the last two axes of ``data`` by the given margins.
-
-    Margins may exceed the side (see :func:`mirror_indices`). Only an axis
-    that gets a margin is indexed, one at a time; column padding leaves a
-    transposed layout, and with no margin ``data`` itself comes back.
-    """
-    h, w = data.shape[-2:]
-    if top or bottom:
-        data = data[..., mirror_indices(h, -top, h + bottom), :]
-    if left or right:
-        data = data[..., mirror_indices(w, -left, w + right)]
-    return data
-
-
-def mirror_pad_to_multiple(data: np.ndarray, block: int) -> np.ndarray:
-    """Reflect-extend the last two axes on the bottom/right to multiples of ``block``."""
-    h, w = data.shape[-2:]
-    return mirror_pad(data, 0, -h % block, 0, -w % block)
-
-
 def apply_kernel_bank(data: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Cross-correlate every channel of ``data`` with every kernel in one pass.
+    """Cross-correlate every channel of ``data`` with every kernel.
 
     ``data`` is ``(C, H, W)``, ``kernels`` is ``(K, k, k)`` with one shared odd
-    size; returns ``(K, C, H, W)`` with reflect padding. The caller guarantees
-    k <= H and k <= W.
+    size; returns ``(K, C, H, W)`` with reflect padding. Direct sums keep small
+    integer kernels exact. The caller guarantees k <= H and k <= W.
     """
-    k = kernels.shape[-1]
-    pad = k // 2
-    # windows gather faster from C order than from a column-padded layout
-    padded = np.ascontiguousarray(mirror_pad(data, pad, pad, pad, pad))
-    win = sliding_window_view(padded, (k, k), axis=(1, 2))  # (C, H, W, k, k)
-    out = np.tensordot(win, kernels, axes=([3, 4], [1, 2]))  # (C, H, W, K)
-    return np.ascontiguousarray(np.moveaxis(out, 3, 0))
+    return np.stack([ndimage.correlate(data, k[np.newaxis], mode="mirror") for k in kernels])
 
 
 def conv2d_same(x: FeatureStack, kernel: Kernel2D) -> FeatureStack:

@@ -228,6 +228,8 @@ def load_model(path) -> tuple[ParamStore, tuple[str, ...]]:
     except PipelineError as exc:
         raise PipelineError("corrupt-record", f"{_META_ARCH}: {exc}") from None
     high, low = _integer_row(table, _META_SEED, 2)
+    if not (0 <= high < 2**24 and 0 <= low < 2**24):
+        raise PipelineError("corrupt-record", f"{_META_SEED} halves must lie in [0, 2**24), got {high}, {low}")
     seed = high * 2**24 + low
     if table[_META_FEATURES].shape != (len(FEATURE_VIEWS),):
         raise PipelineError("corrupt-record", f"bad feature row {table[_META_FEATURES].shape}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .core import Frame, FeatureStack, affine_map_to_unit, mirror_pad_to_multiple
+from .core import Frame, FeatureStack, affine_map_to_unit
 from .errors import PipelineError
 
 BANDS = ("low", "mid", "high", "full")
@@ -66,7 +66,7 @@ def blockwise_dct(data: np.ndarray, block: int, op) -> np.ndarray:
     coefficients, invert and crop back.
     """
     h, w = data.shape[-2:]
-    padded = mirror_pad_to_multiple(data, block)
+    padded = np.pad(data, [(0, 0)] * (data.ndim - 2) + [(0, -h % block), (0, -w % block)], mode="reflect")
     hb, wb = padded.shape[-2] // block, padded.shape[-1] // block
     blocks = padded.reshape(*padded.shape[:-2], hb, block, wb, block).swapaxes(-3, -2)
     coeffs = op(dctn(blocks, type=2, norm="ortho", axes=(-2, -1)))

@@ -184,14 +184,8 @@ class ParamStore:
         self.seed = seed
         self.tensors = tensors
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.tensors)
-
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-    def count(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
 
     def zero_grad(self):
         for t in self.tensors.values():
@@ -205,8 +199,9 @@ def init_network(cfg: ArchConfig, seed: int) -> ParamStore:
     +1/sqrt(fan_in)); norm scales start at one, every bias/offset at zero.
     Same (cfg, seed) always reproduces the same bytes.
     """
-    if int(seed) != seed or seed < 0:
-        raise PipelineError("bad-seed", f"seed must be a non-negative integer, got {seed!r}")
+    # a saved model stores the seed as two 24-bit halves, each exact in float32
+    if int(seed) != seed or not 0 <= seed < 2**48:
+        raise PipelineError("bad-seed", f"seed must be an integer in [0, 2**48), got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence([17, int(seed)]))
     tensors: dict[str, Tensor] = {}
     for name, shape, init in param_spec(cfg):

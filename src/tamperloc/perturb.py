@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
-from .core import Frame, mirror_pad
+from .core import Frame
 from .errors import PipelineError
 from .frequency import blockwise_dct
 
@@ -115,16 +115,12 @@ def gaussian_taps(sigma: float, ksize: int) -> np.ndarray:
 def gaussian_blur(data: np.ndarray, sigma: float, ksize: int) -> np.ndarray:
     """Separable Gaussian blur of (C, H, W) data with reflect padding."""
     taps = gaussian_taps(sigma, ksize)
-    r = ksize // 2
-    win = sliding_window_view(mirror_pad(data, r, r, 0, 0), ksize, axis=1).transpose(0, 1, 3, 2)
-    out = np.einsum("k,chkw->chw", taps, win)
-    return np.einsum("k,chwk->chw", taps, sliding_window_view(mirror_pad(out, 0, 0, r, r), ksize, axis=2))
+    rows = ndimage.correlate1d(data, taps, axis=1, mode="mirror")
+    return ndimage.correlate1d(rows, taps, axis=2, mode="mirror")
 
 
 def _median_filter(data: np.ndarray, window: int) -> np.ndarray:
-    r = window // 2
-    win = sliding_window_view(mirror_pad(data, r, r, r, r), (window, window), axis=(1, 2))
-    return np.median(win, axis=(3, 4))
+    return ndimage.median_filter(data, size=(1, window, window), mode="mirror")
 
 
 def quantize_like_jpeg(data: np.ndarray, quality: float) -> np.ndarray:

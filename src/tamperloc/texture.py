@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 
-from .core import Frame, FeatureStack, Kernel2D, affine_map_to_unit, apply_kernel_bank, luminance
+from .core import Frame, FeatureStack, Kernel2D, affine_map_to_unit, luminance
 from .errors import PipelineError
 
 PHASES = ("even", "odd")
@@ -101,22 +102,25 @@ def extract_texture(f: Frame) -> FeatureStack:
     Each response is normalised to [0, 1] by clamping to +-sum(|taps|) (the
     largest magnitude any unit-range input can produce) and mapping affinely.
     """
-    luma = luminance(f).data
-    entries = gabor_bank()
-    kernels = [gabor_kernel(p, ph) for p, ph in entries]
+    luma = luminance(f).data[0]
+    kernels = [gabor_kernel(p, ph).taps for p, ph in gabor_bank()]
+    side = max(k.shape[0] for k in kernels)
+    if side > f.height or side > f.width:
+        raise PipelineError("kernel-exceeds-image", f"kernel {side}x{side} on {f.height}x{f.width}")
 
-    out = np.empty((len(kernels), f.height, f.width), dtype=np.float64)
-    # one vectorised pass per distinct kernel size
-    sizes: dict[int, list[int]] = {}
+    # correlation is convolution with the flipped kernel; centring every kernel
+    # in one shared support lets one FFT product serve the whole bank
+    r = side // 2
+    bank = np.zeros((len(kernels), side, side))
     for i, k in enumerate(kernels):
-        sizes.setdefault(k.size, []).append(i)
-    for size, idxs in sizes.items():
-        if size > f.height or size > f.width:
-            raise PipelineError("kernel-exceeds-image", f"kernel {size}x{size} on {f.height}x{f.width}")
-        bank = np.stack([kernels[i].taps for i in idxs])
-        resp = apply_kernel_bank(luma, bank)[:, 0]  # (K, H, W)
-        for j, i in enumerate(idxs):
-            bound = float(np.abs(kernels[i].taps).sum())
-            out[i] = affine_map_to_unit(resp[j], -bound, bound)
+        o = r - k.shape[0] // 2
+        bank[i, o : side - o, o : side - o] = k[::-1, ::-1]
+    padded = np.pad(luma, r, mode="reflect")
+    spectrum = rfft2(padded) * rfft2(bank, padded.shape)
+    resp = irfft2(spectrum, padded.shape)[:, 2 * r :, 2 * r :]  # (K, H, W)
 
+    out = np.empty_like(resp)
+    for i, k in enumerate(kernels):
+        bound = float(np.abs(k).sum())
+        out[i] = affine_map_to_unit(resp[i], -bound, bound)
     return FeatureStack(out, TEXTURE_LABELS)

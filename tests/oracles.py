@@ -40,6 +40,37 @@ def conv2d_reflect(channel: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
+def gaussian_blur_reflect(channel: np.ndarray, sigma: float, ksize: int) -> np.ndarray:
+    """Separable Gaussian blur, rows then columns, mirror padding, scalar loops."""
+    h, w = channel.shape
+    r = ksize // 2
+    taps = [math.exp(-(d * d) / (2.0 * sigma * sigma)) for d in range(-r, r + 1)]
+    total = sum(taps)
+    taps = [t / total for t in taps]
+    rows = np.zeros((h, w), dtype=np.float64)
+    for y in range(h):
+        for x in range(w):
+            rows[y, x] = sum(channel[reflect_index(y + d, h), x] * taps[d + r] for d in range(-r, r + 1))
+    out = np.zeros((h, w), dtype=np.float64)
+    for y in range(h):
+        for x in range(w):
+            out[y, x] = sum(rows[y, reflect_index(x + d, w)] * taps[d + r] for d in range(-r, r + 1))
+    return out
+
+
+def median_reflect(channel: np.ndarray, window: int) -> np.ndarray:
+    """Square-window median with mirror padding, scalar loops."""
+    h, w = channel.shape
+    r = window // 2
+    out = np.zeros((h, w), dtype=np.float64)
+    for y in range(h):
+        for x in range(w):
+            values = sorted(channel[reflect_index(y + dy, h), reflect_index(x + dx, w)]
+                            for dy in range(-r, r + 1) for dx in range(-r, r + 1))
+            out[y, x] = values[len(values) // 2]
+    return out
+
+
 def gabor_tap(x: int, y: int, sigma: float, lam: float, gamma: float,
               phi: float, theta: float, odd: bool) -> float:
     """Single Gabor tap straight from the textbook formula."""

@@ -70,6 +70,13 @@ class TestDataErrors:
     def test_synth_rejects_bad_count(self, tmp_path):
         assert cli_main(["synth", "--out", str(tmp_path / "d"), "--n", "0"]) == EXIT_DATA
 
+    def test_train_rejects_seed_a_saved_model_cannot_hold(self, corpus, tmp_path, capsys):
+        out = tmp_path / "m.uvlt"
+        code = cli_main(["train", "--data", str(corpus), "--out", str(out), "--steps", "1", "--seed", str(2**48)])
+        assert code == EXIT_DATA
+        assert "bad-seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_on_missing_corpus(self, tmp_path):
         code = cli_main(["train", "--data", str(tmp_path / "no"), "--out", str(tmp_path / "m.uvlt")])
         assert code == EXIT_DATA

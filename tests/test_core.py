@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -15,9 +13,6 @@ from tamperloc.core import (
     concat_channels,
     conv2d_same,
     luminance,
-    mirror_indices,
-    mirror_pad,
-    mirror_pad_to_multiple,
     rgb_stack,
 )
 
@@ -76,34 +71,6 @@ class TestKernel2D:
     def test_rejects_non_square(self):
         with pytest.raises(PipelineError, match="bad-kernel"):
             Kernel2D(np.zeros((3, 5)))
-
-
-class TestMirrorIndices:
-    def test_matches_numpy_reflect(self):
-        for n in (2, 3, 8):
-            arr = np.arange(n, dtype=np.float64)
-            padded = np.pad(arr, (n - 1, n - 1), mode="reflect")
-            idx = mirror_indices(n, -(n - 1), 2 * n - 1)
-            assert np.array_equal(arr[idx], padded)
-
-    def test_no_edge_repeat(self):
-        idx = mirror_indices(5, -2, 7)
-        assert list(idx) == [2, 1, 0, 1, 2, 3, 4, 3, 2]
-
-    def test_pad_to_multiple(self):
-        channel = default_rng(0).uniform(size=(5, 6))
-        out = mirror_pad_to_multiple(channel, 4)
-        assert out.shape == (8, 8)
-        assert np.array_equal(out[:5, :6], channel)
-        assert np.array_equal(out[5, :6], channel[3])  # row 5 mirrors row 3
-        assert np.array_equal(out[:5, 6], channel[:, 4])  # col 6 mirrors col 4
-
-    @pytest.mark.parametrize("h,w", [(2, 3), (4, 5)])
-    def test_mirror_pad_matches_numpy_reflect_per_side(self, h, w):
-        data = default_rng(h).uniform(size=(3, h, w))
-        for top, bottom, left, right in itertools.product(range(h), range(h), range(w), range(w)):
-            want = np.pad(data, ((0, 0), (top, bottom), (left, right)), mode="reflect")
-            assert np.array_equal(mirror_pad(data, top, bottom, left, right), want)
 
 
 class TestConv2dSame:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -246,6 +247,16 @@ class TestMakeDataset:
         assert names == sorted(os.listdir(b_dir))
         for name in names:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+    def test_files_are_pinned(self, tmp_path):
+        # sha256 over (name, bytes) of every written file: the files must not move
+        # between versions; three of the six items are inpainted, which pins the blur
+        make_dataset(tmp_path, count=6, size=32, seed=3, inpaint_fraction=0.5)
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == "7fa466f41479a5a953286955e438d7967d2e59baa5fc5a93a99e616f8a3f37bf"
 
     def test_masks_are_strictly_binary(self, tmp_path):
         make_dataset(tmp_path, count=6, size=64, seed=5, inpaint_fraction=0.5)

@@ -234,6 +234,11 @@ class TestModelContainer:
         assert loaded.seed == 123456789
         assert views == ("texture", "pixel")
 
+    def test_round_trip_recovers_largest_seed(self, tmp_path):
+        path = tmp_path / "m.uvlt"
+        save_model(path, init_network(micro_arch(), 2**48 - 1))
+        assert load_model(path)[0].seed == 2**48 - 1
+
     @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_only", "vit_cnn"])
     def test_saved_model_forwards_reproducibly(self, tmp_path, variant):
         cfg = micro_arch(variant)
@@ -316,6 +321,14 @@ class TestModelContainer:
     @pytest.mark.parametrize("value", [np.nan, 0.5])
     def test_rejects_corrupt_seed_row(self, tmp_path, value):
         path = self.saved_with_row(tmp_path, "meta.seed", 1, value)
+        with pytest.raises(PipelineError, match="corrupt-record"):
+            load_model(path)
+
+    # float32 holds 2**24 exactly, so a half that large reaches the range check
+    @pytest.mark.parametrize("index,value", [(0, -1.0), (0, 2.0**24), (1, -1.0), (1, 2.0**24)],
+                             ids=["high-negative", "high-2**24", "low-negative", "low-2**24"])
+    def test_rejects_seed_half_out_of_range(self, tmp_path, index, value):
+        path = self.saved_with_row(tmp_path, "meta.seed", index, value)
         with pytest.raises(PipelineError, match="corrupt-record"):
             load_model(path)
 

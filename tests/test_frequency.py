@@ -81,9 +81,14 @@ class TestBandReconstruct:
         channel = default_rng(8).uniform(size=(16, 16))
         assert np.allclose(band_reconstruct(channel, 4, "full"), channel, atol=1e-10)
 
-    @pytest.mark.parametrize("block_size,band", BAND_SPECS)
-    def test_matches_block_loop_oracle(self, block_size, band):
-        channel = default_rng(block_size).uniform(size=(16, 16))
+    # 16x16 cases keep their original ids; 13x21 is a multiple of no block size
+    @pytest.mark.parametrize(
+        "block_size,band,shape",
+        [pytest.param(b, band, (16, 16), id=f"{b}-{band}") for b, band in BAND_SPECS]
+        + [pytest.param(b, band, (13, 21), id=f"{b}-{band}-13x21") for b, band in BAND_SPECS],
+    )
+    def test_matches_block_loop_oracle(self, block_size, band, shape):
+        channel = default_rng(block_size).uniform(size=shape)
         got = band_reconstruct(channel, block_size, band)
         mask = band_mask(block_size, band)
         want = band_reconstruct_blocks(channel, block_size,

@@ -58,14 +58,14 @@ class TestInitNetwork:
     def test_same_seed_reproduces_identical_bytes(self):
         a = init_network(ArchConfig(), 3)
         b = init_network(ArchConfig(), 3)
-        assert a.names() == b.names()
-        for name in a.names():
+        assert list(a.tensors) == list(b.tensors)
+        for name in a.tensors:
             assert a[name].data.tobytes() == b[name].data.tobytes()
 
     def test_different_seed_changes_some_parameter(self):
         a = init_network(ArchConfig(), 3)
         b = init_network(ArchConfig(), 4)
-        assert any(not np.array_equal(a[n].data, b[n].data) for n in a.names())
+        assert any(not np.array_equal(a[n].data, b[n].data) for n in a.tensors)
 
     def test_default_parameter_count_matches_hand_sum(self):
         # declared layer shapes summed independently of the implementation
@@ -89,7 +89,7 @@ class TestInitNetwork:
             + (d + 1)                    # 1x1 head
         )
         assert expected == 116529
-        assert init_network(ArchConfig(), 0).count() == expected
+        assert sum(t.data.size for t in init_network(ArchConfig(), 0).tensors.values()) == expected
 
     def test_biases_zero_and_weights_fan_in_bounded(self):
         params = init_network(ArchConfig(), 1)
@@ -102,6 +102,12 @@ class TestInitNetwork:
     def test_rejects_bad_seed(self):
         with pytest.raises(PipelineError, match="bad-seed"):
             init_network(ArchConfig(), -1)
+
+    def test_rejects_seed_a_saved_model_cannot_hold(self):
+        # the high half of 2**48 + 2**24 + 1 is 2**24 + 1, which float32 rounds to
+        # 2**24, so a saved model of that seed loaded as 2**48 + 1
+        with pytest.raises(PipelineError, match="bad-seed"):
+            init_network(micro_arch(), 2**48)
 
 
 # sha256 prefixes of the (name, shape, init) table and of init_network(cfg, 0)'s
@@ -125,7 +131,7 @@ def test_layout_and_init_bytes_are_pinned(variant, arch):
     spec_digest = hashlib.sha256(repr(param_spec(cfg)).encode()).hexdigest()[:16]
     params = init_network(cfg, 0)
     init_digest = hashlib.sha256()
-    for name in params.names():
+    for name in params.tensors:
         init_digest.update(name.encode())
         init_digest.update(params[name].data.tobytes())
     assert (spec_digest, init_digest.hexdigest()[:16]) == LAYOUT_DIGESTS[(variant, arch)]
@@ -249,7 +255,7 @@ class TestBackward:
     def test_micro_gradcheck_passes(self):
         ok, report = finite_difference_check(seed=0)
         assert ok
-        assert set(report) == set(init_network(micro_arch(), 0).names())
+        assert set(report) == set(init_network(micro_arch(), 0).tensors)
         assert all(v < 1e-4 for v in report.values())
 
 

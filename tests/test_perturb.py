@@ -14,10 +14,11 @@ from tamperloc.perturb import (
     parse_spec,
     perturb_pair,
     perturb_suite,
+    _median_filter,
     quantize_like_jpeg,
 )
 
-from oracles import jpeg_block_quantize
+from oracles import gaussian_blur_reflect, jpeg_block_quantize, median_reflect
 
 
 def fixture_pair(seed: int = 0, h: int = 16, w: int = 16):
@@ -149,6 +150,15 @@ class TestPerturbPair:
         assert a.data.tobytes() == b.data.tobytes()
         assert a.data.tobytes() != c.data.tobytes()
 
+    # window 15 on 5 rows: the margin is wider than the side
+    @pytest.mark.parametrize("shape,window", [((3, 16, 16), 3), ((2, 10, 12), 5), ((1, 5, 9), 15)],
+                             ids=["16x16-w3", "10x12-w5", "5x9-w15"])
+    def test_median_matches_scalar_oracle(self, shape, window):
+        data = default_rng(window).uniform(size=shape)
+        got = _median_filter(data, window)
+        for c in range(shape[0]):
+            np.testing.assert_array_equal(got[c], median_reflect(data[c], window))
+
     def test_median_on_constant_frame_is_identity(self):
         frame = Frame(np.full((3, 12, 12), 0.42))
         mask = np.zeros((12, 12))
@@ -224,6 +234,15 @@ class TestGaussianKernels:
     def test_blur_preserves_constant_frames(self):
         data = np.full((3, 10, 10), 0.3)
         np.testing.assert_allclose(gaussian_blur(data, 2.0, BLUR_KSIZE), data, rtol=1e-12)
+
+    # 25 taps on 10x12: the margin of 12 is wider than the 10 rows
+    @pytest.mark.parametrize("shape,sigma,ksize", [((3, 16, 16), 1.5, BLUR_KSIZE), ((2, 10, 12), 4.0, 25)],
+                             ids=["16x16-k7", "10x12-k25"])
+    def test_blur_matches_scalar_oracle(self, shape, sigma, ksize):
+        data = default_rng(ksize).uniform(size=shape)
+        got = gaussian_blur(data, sigma, ksize)
+        for c in range(shape[0]):
+            np.testing.assert_allclose(got[c], gaussian_blur_reflect(data[c], sigma, ksize), rtol=0.0, atol=1e-12)
 
     def test_blur_reduces_variance(self):
         data = default_rng(13).uniform(0.0, 1.0, (3, 16, 16))

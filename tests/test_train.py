@@ -130,7 +130,7 @@ class TestTrain:
         p1, h1 = train(cfg, ArchConfig(), balanced_items())
         p2, h2 = train(cfg, ArchConfig(), balanced_items())
         assert h1 == h2
-        for name in p1.names():
+        for name in p1.tensors:
             assert p1[name].data.tobytes() == p2[name].data.tobytes()
 
     def test_overfits_a_single_frame(self):
