@@ -11,7 +11,11 @@ no later op needs it.
 The op set is deliberately small: what the fusion network needs, plus
 ``softmax``. ``attention`` is one fused op for scaled dot-product attention;
 it works through blocks of query rows, so its memory grows linearly in the
-token count.
+token count. ``conv2d`` likewise works through bands of output rows, building
+each band's im2col columns channel-major and rebuilding them in the backward
+pass, so beyond its inputs, output and gradients it holds one band of
+columns, not a whole frame of them. Both recompute rather than store, as in
+Rabe & Staats (arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -28,6 +32,13 @@ LAYER_NORM_EPS = 1e-12
 # Query rows per attention block. Blocks of 64-256 rows timed within 10% of
 # each other at 256 and 2304 tokens (64 and 192 px frames).
 ATTENTION_BLOCK = 128
+
+# Output pixels per conv2d band. Over the three stage-1 convolutions at 192
+# px, one BLAS thread, bands of 1024-2048 pixels timed within 2% of each
+# other, 4096 13% slower and 16384 35% slower (fwd+bwd 243, 273 and 357
+# ms); at 64 px 1024-8192 timed within noise. 2048 pixels of 52-channel
+# 3x3 columns are 7.3 MiB.
+CONV_BLOCK = 2048
 
 _grad_enabled = True
 
@@ -79,8 +90,12 @@ def _accumulate(t: Tensor, grad: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+        # a fresh array in the layout zeros_like would give; never an alias,
+        # because closures pass views such as g.reshape(old)
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = grad
+    else:
+        t.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -328,6 +343,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
 
     ``pad_mode`` is "zero" for training and "wrap" for the periodic test
     harness used to probe translation consistency.
+
+    Output rows are processed in bands of ``max(1, CONV_BLOCK // wo)`` rows.
+    Each band's channel-major columns (Cin*kh*kw, band*wo) are built, used in
+    one gemm and dropped; the backward pass rebuilds them for the weight
+    gradient instead of storing them. Beyond the inputs, the padded input,
+    the output and the gradients, forward and backward hold O((Cin*kh*kw +
+    Cout) * max(CONV_BLOCK, wo)) floats at a time, never the whole-frame
+    (H*W, Cin*kh*kw) im2col matrix.
     """
     if pad_mode not in ("zero", "wrap"):
         raise PipelineError("bad-pad-mode", pad_mode)
@@ -345,24 +368,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, cin * kh * kw)
+    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # (cin, ho, wo, kh, kw)
     wmat = wd.reshape(cout, -1)
-    out = (cols @ wmat.T + b.data).T.reshape(cout, ho, wo)
+    band = max(1, CONV_BLOCK // wo)
+    bands = [(lo, slice(lo * wo, (lo + band) * wo)) for lo in range(0, ho, band)]
+
+    def columns(lo):
+        return win[:, lo : lo + band].transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, -1)
+
+    out = np.empty((cout, ho * wo))
+    for lo, px in bands:
+        out[:, px] = wmat @ columns(lo)
+    out += b.data[:, None]
 
     def back(g):
-        gmat = g.reshape(cout, -1).T  # (ho*wo, cout)
-        _accumulate(w, (gmat.T @ cols).reshape(wd.shape))
-        _accumulate(b, gmat.sum(axis=0))
-        if not x.requires_grad:
+        gmat = g.reshape(cout, -1)  # (cout, ho*wo)
+        _accumulate(b, gmat.sum(axis=1))
+        dw = np.zeros_like(wmat)
+        dpad = np.zeros_like(padded) if x.requires_grad else None
+        for lo, px in bands:
+            gb = gmat[:, px]
+            dw += gb @ columns(lo).T
+            if dpad is None:
+                continue
+            nb = min(band, ho - lo)
+            dcols = (wmat.T @ gb).reshape(cin, kh, kw, nb, wo)
+            top = lo * stride
+            for u in range(kh):
+                for v in range(kw):
+                    dpad[:, top + u : top + u + stride * nb : stride, v : v + stride * wo : stride] += dcols[:, u, v]
+        _accumulate(w, dw.reshape(wd.shape))
+        if dpad is None:
             return
-        dcols = (gmat @ wmat).reshape(ho, wo, cin, kh, kw)
-        dpad = np.zeros_like(padded)
-        for u in range(kh):
-            for v in range(kw):
-                dpad[:, u : u + stride * ho : stride, v : v + stride * wo : stride] += dcols[
-                    :, :, :, u, v
-                ].transpose(2, 0, 1)
         if pad == 0:
             _accumulate(x, dpad)
         elif pad_mode == "zero":
@@ -375,7 +412,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
             np.add.at(dx, (slice(None), rows[:, None], colsix[None, :]), dpad)
             _accumulate(x, dx)
 
-    return _make(out, (x, w, b), back)
+    return _make(out.reshape(cout, ho, wo), (x, w, b), back)
 
 
 def avg_pool2(x: Tensor) -> Tensor:

@@ -12,6 +12,7 @@ centre and ``y`` the row offset (rows grow downward).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +95,29 @@ def _bank_label(params: GaborParams, phase: str) -> str:
 
 
 TEXTURE_LABELS = tuple(_bank_label(p, ph) for p, ph in gabor_bank())
+# the side of the largest kernel in the default bank, the shared FFT support
+BANK_SIDE = max(p.ksize for p, _ in gabor_bank())
+
+
+@functools.lru_cache(maxsize=4)
+def _bank_spectrum(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The default bank's spectrum on a reflect-padded frame of ``shape``
+    and each kernel's bound sum(|taps|), both read-only.
+
+    Correlation is convolution with the flipped kernel; centring every kernel
+    in one shared support lets one FFT product serve the whole bank.
+    """
+    kernels = [gabor_kernel(p, ph).taps for p, ph in gabor_bank()]
+    r = BANK_SIDE // 2
+    bank = np.zeros((len(kernels), BANK_SIDE, BANK_SIDE))
+    for i, k in enumerate(kernels):
+        o = r - k.shape[0] // 2
+        bank[i, o : BANK_SIDE - o, o : BANK_SIDE - o] = k[::-1, ::-1]
+    spectrum = rfft2(bank, shape)
+    bounds = np.array([np.abs(k).sum() for k in kernels])
+    spectrum.setflags(write=False)
+    bounds.setflags(write=False)
+    return spectrum, bounds
 
 
 def extract_texture(f: Frame) -> FeatureStack:
@@ -101,26 +125,16 @@ def extract_texture(f: Frame) -> FeatureStack:
 
     Each response is normalised to [0, 1] by clamping to +-sum(|taps|) (the
     largest magnitude any unit-range input can produce) and mapping affinely.
+    The bank's spectrum is cached per frame shape.
     """
-    luma = luminance(f).data[0]
-    kernels = [gabor_kernel(p, ph).taps for p, ph in gabor_bank()]
-    side = max(k.shape[0] for k in kernels)
-    if side > f.height or side > f.width:
-        raise PipelineError("kernel-exceeds-image", f"kernel {side}x{side} on {f.height}x{f.width}")
-
-    # correlation is convolution with the flipped kernel; centring every kernel
-    # in one shared support lets one FFT product serve the whole bank
-    r = side // 2
-    bank = np.zeros((len(kernels), side, side))
-    for i, k in enumerate(kernels):
-        o = r - k.shape[0] // 2
-        bank[i, o : side - o, o : side - o] = k[::-1, ::-1]
-    padded = np.pad(luma, r, mode="reflect")
-    spectrum = rfft2(padded) * rfft2(bank, padded.shape)
-    resp = irfft2(spectrum, padded.shape)[:, 2 * r :, 2 * r :]  # (K, H, W)
+    if BANK_SIDE > f.height or BANK_SIDE > f.width:
+        raise PipelineError("kernel-exceeds-image", f"kernel {BANK_SIDE}x{BANK_SIDE} on {f.height}x{f.width}")
+    r = BANK_SIDE // 2
+    padded = np.pad(luminance(f).data[0], r, mode="reflect")
+    bank_spectrum, bounds = _bank_spectrum(padded.shape)
+    resp = irfft2(rfft2(padded) * bank_spectrum, padded.shape)[:, 2 * r :, 2 * r :]  # (K, H, W)
 
     out = np.empty_like(resp)
-    for i, k in enumerate(kernels):
-        bound = float(np.abs(k).sum())
-        out[i] = affine_map_to_unit(resp[i], -bound, bound)
+    for i, bound in enumerate(bounds):
+        out[i] = affine_map_to_unit(resp[i], -float(bound), float(bound))
     return FeatureStack(out, TEXTURE_LABELS)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -176,6 +178,44 @@ class TestForwardValues:
         want = correlate2d_strided(x, w, b, stride, pad, pad_mode)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
+    # (CONV_BLOCK, stride, pad, pad_mode, k, side): output 10x10 in bands of
+    # 3 rows (4 bands, the last of 1), of 1 row, and of 1 row wider than
+    # the block; 5x5 at stride 2 in bands of 2 rows; 3x3 at stride 4 in
+    # bands of 1 row and of 1 row wider than the block
+    @pytest.mark.parametrize(
+        "block,stride,pad,pad_mode,k,side",
+        [(30, 1, 1, "zero", 3, 10), (30, 1, 1, "wrap", 3, 10), (10, 1, 1, "zero", 3, 10), (4, 1, 1, "wrap", 3, 10),
+         (10, 2, 1, "zero", 3, 10), (10, 2, 1, "wrap", 3, 10), (3, 4, 0, "zero", 4, 12), (2, 4, 0, "zero", 4, 12)],
+        ids=["band3-zero", "band3-wrap", "band1", "wider-than-block", "stride2-zero", "stride2-wrap",
+             "stride4-band1", "stride4-wider"],
+    )
+    def test_conv2d_bands_match_scalar_loop(self, monkeypatch, block, stride, pad, pad_mode, k, side):
+        monkeypatch.setattr(ad, "CONV_BLOCK", block)
+        rng = default_rng(block + stride)
+        x = rng.normal(size=(3, side, side))
+        w = rng.normal(size=(2, 3, k, k))
+        b = rng.normal(size=2)
+        got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad, pad_mode=pad_mode).data
+        want = correlate2d_strided(x, w, b, stride, pad, pad_mode)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_conv2d_memory_is_bounded_by_one_band(self):
+        # no-grad 52->32 3x3 at 128x128, as conv1 of a 128 px frame: beyond
+        # the padded input and the output, one band of columns and its gemm
+        # result; the whole-frame im2col alone would be 61 MiB
+        rng = default_rng(5)
+        x, w, b = Tensor(rng.normal(size=(52, 128, 128))), Tensor(rng.normal(size=(32, 52, 3, 3))), Tensor(np.zeros(32))
+        band = (52 * 9 + 32) * ad.CONV_BLOCK * 8
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                out = ad.conv2d(x, w, b, pad=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded = 52 * 130 * 130 * 8
+        assert peak < padded + out.data.nbytes + band + (1 << 20)
+
     def test_conv2d_rejects_bad_pad_mode_and_shapes(self):
         x, w, b = Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.zeros(2))
         with pytest.raises(PipelineError, match="bad-pad-mode"):
@@ -294,6 +334,17 @@ class TestBackward:
             [rng.normal(size=(2, 6, 6)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)],
         )
 
+    @pytest.mark.parametrize("stride,pad_mode", [(1, "zero"), (1, "wrap"), (2, "zero"), (2, "wrap")])
+    def test_conv2d_all_inputs_across_bands(self, monkeypatch, stride, pad_mode):
+        # 7x7 output in four bands of 2 rows (the last of 1); 4x4 at stride 2
+        # in four bands of 1 row
+        monkeypatch.setattr(ad, "CONV_BLOCK", 14 if stride == 1 else 4)
+        rng = default_rng(50 + stride)
+        check_gradients(
+            lambda ts: weighted_mean(ad.conv2d(ts[0], ts[1], ts[2], stride=stride, pad=1, pad_mode=pad_mode)),
+            [rng.normal(size=(2, 7, 7)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)],
+        )
+
     def test_avg_pool2(self):
         check_gradients(lambda ts: weighted_mean(ad.avg_pool2(ts[0])), [default_rng(40).normal(size=(2, 4, 4))])
 
@@ -304,6 +355,16 @@ class TestBackward:
         x = Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
         ad.backward(ad.mean_all(ad.add(ad.mul(x, x), x)))
         np.testing.assert_allclose(x.grad, (2.0 * x.data + 1.0) / 3.0, rtol=1e-14)
+
+    def test_first_gradient_is_a_copy(self):
+        t = Tensor(np.zeros((3, 2)).T, requires_grad=True)
+        g = np.ones((2, 3))
+        ad._accumulate(t, g)
+        assert not np.shares_memory(t.grad, g)
+        assert t.grad.strides == np.zeros_like(t.data).strides
+        ad._accumulate(t, g)
+        np.testing.assert_array_equal(g, np.ones((2, 3)))
+        np.testing.assert_array_equal(t.grad, np.full((2, 3), 2.0))
 
     def test_untouched_leaf_keeps_no_grad(self):
         used = Tensor(np.ones(3), requires_grad=True)

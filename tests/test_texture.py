@@ -5,6 +5,7 @@ import pytest
 from numpy.random import default_rng
 
 from tamperloc.core import Frame, PipelineError
+from tamperloc import texture
 from tamperloc.texture import (
     BankConfig,
     DEFAULT_BANK,
@@ -139,3 +140,14 @@ class TestExtractTexture:
         f = Frame(default_rng(0).uniform(0.0, 1.0, (3, 32, 32)))
         stack = extract_texture(f)
         assert stack.data.min() >= 0.0 and stack.data.max() <= 1.0
+
+    def test_bank_spectrum_is_cached_and_read_only(self):
+        f = Frame(default_rng(3).uniform(0.0, 1.0, (3, 40, 48)))
+        first = extract_texture(f).data
+        assert extract_texture(f).data.tobytes() == first.tobytes()
+        spectrum, bounds = texture._bank_spectrum((64, 72))
+        assert texture._bank_spectrum((64, 72))[0] is spectrum
+        with pytest.raises(ValueError):
+            spectrum[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            bounds[0] = 0.0
