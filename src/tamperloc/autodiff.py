@@ -9,13 +9,14 @@ inference pass keeps no tape and each intermediate array is freed as soon as
 no later op needs it.
 
 The op set is deliberately small: what the fusion network needs, plus
-``softmax``. ``attention`` is one fused op for scaled dot-product attention;
-it works through blocks of query rows, so its memory grows linearly in the
-token count. ``conv2d`` likewise works through bands of output rows, building
-each band's im2col columns channel-major and rebuilding them in the backward
-pass, so beyond its inputs, output and gradients it holds one band of
-columns, not a whole frame of them. Both recompute rather than store, as in
-Rabe & Staats (arXiv 2112.05682).
+``softmax``, which no model code calls; it is kept only because the
+benchmark's tracer wraps it by name. ``attention`` is one fused op for
+scaled dot-product attention; it works through blocks of query rows, so its
+memory grows linearly in the token count. ``conv2d`` likewise works through
+bands of output rows, building each band's im2col columns channel-major and
+rebuilding them in the backward pass, so beyond its inputs, output and
+gradients it holds one band of columns, not a whole frame of them. Both
+recompute rather than store, as in Rabe & Staats (arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -163,15 +164,6 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), back)
 
 
-def neg(a) -> Tensor:
-    a = _coerce(a)
-
-    def back(g):
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), back)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
 
@@ -193,7 +185,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def back(g):
         _accumulate(x, g * y * (1.0 - y))
@@ -281,17 +274,17 @@ def attention(q, k, v, scale: float) -> Tensor:
     return _make(out, (q, k, v), back)
 
 
-def layer_norm(x: Tensor, axis: int = -1, eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalise to zero mean / unit variance along ``axis`` (no affine part)."""
-    mu = x.data.mean(axis=axis, keepdims=True)
+def layer_norm(x: Tensor) -> Tensor:
+    """Normalise to zero mean / unit variance along the last axis (no affine part)."""
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc**2).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = xc * inv
 
     def back(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gy = (g * y).mean(axis=axis, keepdims=True)
+        gm = g.mean(axis=-1, keepdims=True)
+        gy = (g * y).mean(axis=-1, keepdims=True)
         _accumulate(x, inv * (g - gm - y * gy))
 
     return _make(y, (x,), back)

@@ -222,3 +222,7 @@ def cli_main(argv) -> int:
 
 def entry() -> None:
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -112,21 +112,13 @@ def apply_kernel_bank(data: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 
     ``data`` is ``(C, H, W)``, ``kernels`` is ``(K, k, k)`` with one shared odd
     size; returns ``(K, C, H, W)`` with reflect padding. Direct sums keep small
-    integer kernels exact. The caller guarantees k <= H and k <= W.
+    integer kernels exact. A kernel larger than the image is
+    ``kernel-exceeds-image``.
     """
+    side = kernels.shape[-1]
+    if side > data.shape[-2] or side > data.shape[-1]:
+        raise PipelineError("kernel-exceeds-image", f"kernel {side}x{side} does not fit {data.shape[-2]}x{data.shape[-1]}")
     return np.stack([ndimage.correlate(data, k[np.newaxis], mode="mirror") for k in kernels])
-
-
-def conv2d_same(x: FeatureStack, kernel: Kernel2D) -> FeatureStack:
-    """Per-channel same-size cross-correlation with reflect padding."""
-    k = kernel.size
-    if k > x.height or k > x.width:
-        raise PipelineError(
-            "kernel-exceeds-image",
-            f"kernel {k}x{k} does not fit {x.height}x{x.width}",
-        )
-    out = apply_kernel_bank(x.data, kernel.taps[np.newaxis])[0]
-    return FeatureStack(out, x.labels)
 
 
 def concat_channels(parts: "list[FeatureStack] | tuple[FeatureStack, ...]") -> FeatureStack:
@@ -148,11 +140,6 @@ def affine_map_to_unit(data: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if not (lo < hi):
         raise PipelineError("bad-range", f"need lo < hi, got [{lo}, {hi}]")
     return (np.clip(data, lo, hi) - lo) / (hi - lo)
-
-
-def affine_to_unit(x: FeatureStack, lo: float, hi: float) -> FeatureStack:
-    """Channel-wise clamp to [lo, hi] followed by the affine map onto [0, 1]."""
-    return FeatureStack(affine_map_to_unit(x.data, lo, hi), x.labels)
 
 
 def luminance(f: Frame) -> FeatureStack:

@@ -348,6 +348,10 @@ def _region_doc(region: Region) -> dict:
     return {"shape": region.shape, "geometry": geometry}
 
 
+def _source_doc(kind: str, seed: int, sigma: float, quality: int) -> dict:
+    return {"texture": kind, "seed": seed, "sigma": sigma, "quality": quality}
+
+
 def _sample_item(seed: int, index: int, size: int, inpaint_fraction: float) -> tuple[str, dict, Frame, np.ndarray]:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 303, int(index)]))
     if rng.uniform() < inpaint_fraction:
@@ -360,7 +364,7 @@ def _sample_item(seed: int, index: int, size: int, inpaint_fraction: float) -> t
         host = Frame(_source_frame(kind, tex_seed, sigma, quality, size))
         frame, mask = simulate_inpaint(host, region, noise_seed)
         spec_doc = {
-            "host": {"texture": kind, "seed": tex_seed, "sigma": sigma, "quality": quality},
+            "host": _source_doc(kind, tex_seed, sigma, quality),
             "noise_seed": noise_seed,
             "region": _region_doc(region),
         }
@@ -368,18 +372,8 @@ def _sample_item(seed: int, index: int, size: int, inpaint_fraction: float) -> t
     spec = sample_splice_spec(rng, size)
     frame, mask = splice(spec, size)
     spec_doc = {
-        "host": {
-            "texture": spec.host_kind,
-            "seed": spec.host_seed,
-            "sigma": spec.host_sigma,
-            "quality": spec.host_quality,
-        },
-        "donor": {
-            "texture": spec.donor_kind,
-            "seed": spec.donor_seed,
-            "sigma": spec.donor_sigma,
-            "quality": spec.donor_quality,
-        },
+        "host": _source_doc(spec.host_kind, spec.host_seed, spec.host_sigma, spec.host_quality),
+        "donor": _source_doc(spec.donor_kind, spec.donor_seed, spec.donor_sigma, spec.donor_quality),
         "region": _region_doc(spec.region),
     }
     return "splice", spec_doc, frame, mask

@@ -9,6 +9,7 @@ plain JSON documents.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Sequence
 
@@ -156,7 +157,7 @@ def read_tensorfile(path) -> list[tuple[str, np.ndarray]]:
         if ndim > 8:
             raise PipelineError("corrupt-record", f"{name}: implausible ndim {ndim}")
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim, "record dims"))
-        need = 4 * int(np.prod(dims, dtype=np.int64)) if ndim else 4
+        need = 4 * math.prod(dims)  # exact: an int64 product of eight u32 dims can wrap
         if r.pos + need > len(r.blob):
             raise PipelineError("corrupt-record", f"{name}: dims {dims} exceed payload")
         payload = r.take(need, "record payload")
@@ -175,9 +176,17 @@ _META_SEED = "meta.seed"
 
 
 def save_model(path, params: ParamStore, views: "Sequence[str] | None" = None) -> None:
-    """Parameters plus architecture, train-time feature switches and seed."""
+    """Parameters plus architecture, train-time feature switches and seed.
+
+    A parameter that is not finite once narrowed to float32 is
+    ``non-finite-parameter``, and nothing is written.
+    """
     cfg = params.arch
     chosen = check_views(views)
+    with np.errstate(over="ignore"):
+        for name, t in params.tensors.items():
+            if not np.isfinite(t.data.astype(np.float32)).all():
+                raise PipelineError("non-finite-parameter", f"{name} is not finite in float32")
     arch_row = [
         float(VARIANTS.index(cfg.variant)),
         float(cfg.input_channels),
@@ -206,7 +215,11 @@ def _integer_row(table: dict, key: str, length: int) -> list[int]:
 
 
 def load_model(path) -> tuple[ParamStore, tuple[str, ...]]:
-    """Rebuild a ParamStore and its train-time feature switches."""
+    """Rebuild a ParamStore and its train-time feature switches.
+
+    Every malformed record, a non-finite parameter included, is
+    ``corrupt-record``.
+    """
     table = dict(read_tensorfile(path))
     for key in (_META_ARCH, _META_FEATURES, _META_SEED):
         if key not in table:
@@ -239,6 +252,8 @@ def load_model(path) -> tuple[ParamStore, tuple[str, ...]]:
             raise PipelineError("corrupt-record", f"missing parameter {name}")
         if table[name].shape != shape:
             raise PipelineError("corrupt-record", f"{name}: shape {table[name].shape}, expected {shape}")
+        if not np.isfinite(table[name]).all():
+            raise PipelineError("corrupt-record", f"{name}: non-finite value")
         tensors[name] = Tensor(table[name], requires_grad=True)
     views = tuple(v for v, bit in zip(FEATURE_VIEWS, table[_META_FEATURES]) if bit >= 0.5)
     return ParamStore(cfg, seed, tensors), views

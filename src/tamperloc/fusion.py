@@ -327,17 +327,13 @@ def forward(params: ParamStore, x, pad_mode: str = "zero") -> np.ndarray:
 
 
 def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean binary cross-entropy with probabilities clamped to [1e-7, 1 - 1e-7]."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise PipelineError("shape-mismatch", f"pred {pred.shape} vs target {target.shape}")
-    p = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(np.mean(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))))
+    """The value of :func:`bce_loss_graph`, computed without a tape."""
+    with ad.no_grad():
+        return float(bce_loss_graph(Tensor(pred), np.asarray(target, dtype=np.float64)).data)
 
 
 def bce_loss_graph(probs: Tensor, target: np.ndarray) -> Tensor:
-    """Tape version of :func:`bce_loss` for training and gradient checks."""
+    """Mean binary cross-entropy with probabilities clamped to [1e-7, 1 - 1e-7]."""
     if probs.data.shape != target.shape:
         raise PipelineError("shape-mismatch", f"pred {probs.data.shape} vs target {target.shape}")
     t = np.asarray(target, dtype=np.float64)
@@ -382,29 +378,29 @@ def predict(params: ParamStore, f: Frame, views: "Iterable[str] | None" = None) 
     return forward(params, build_feature_stack(f, views))
 
 
-def finite_difference_check(
-    seed: int = 0,
-    arch: "ArchConfig | None" = None,
-    h: float = 1e-5,
-    tol: float = 1e-4,
-    atol: float = 1e-7,
-) -> tuple[bool, dict[str, float]]:
+GRADCHECK_STEP = 1e-5
+GRADCHECK_TOL = 1e-4
+GRADCHECK_ATOL = 1e-7
+
+
+def finite_difference_check(seed: int = 0, arch: "ArchConfig | None" = None) -> tuple[bool, dict[str, float]]:
     """Compare tape gradients of every parameter tensor with central differences.
 
     Runs the micro architecture on a random 8x8 input. Returns (all_ok,
     max relative error per parameter tensor). An entry counts as matched when
-    the absolute disagreement stays below ``atol``: central differences of a
-    ~0.5 loss at this h carry ~1e-11 of cancellation noise, so disagreement
-    below the floor says nothing about the tape. Everything above the floor
-    must agree to relative error ``tol``.
+    the absolute disagreement stays below ``GRADCHECK_ATOL``: central
+    differences of a ~0.5 loss at this step carry ~1e-11 of cancellation
+    noise, so disagreement below the floor says nothing about the tape.
+    Everything above the floor must agree to relative error ``GRADCHECK_TOL``.
 
-    Two artifacts make the raw quotient at step ``h`` unreliable on a sliver
-    of entries, and both shrink with the step, so entries that miss at ``h``
-    are re-probed at h/4 and h/16 before counting as mismatched:
+    Two artifacts make the raw quotient at step h = ``GRADCHECK_STEP``
+    unreliable on a sliver of entries, and both shrink with the step, so
+    entries that miss at h are re-probed at h/4 and h/16 before counting as
+    mismatched:
 
     * truncation: the centered quotient carries an O(h^2) curvature term,
       and the normalization layers produce enough curvature for it to exceed
-      ``tol`` on otherwise perfectly matching entries;
+      the tolerance on otherwise perfectly matching entries;
     * kinks: a probe can push a near-zero ReLU pre-activation across zero,
       blending two one-sided slopes. Input and parameters are redrawn
       deterministically until every pre-activation clears h/2, which bounds
@@ -414,7 +410,7 @@ def finite_difference_check(
     converges to the true derivative while the analytic value stays wrong.
     """
     cfg = arch or micro_arch()
-    guard = 0.5 * h
+    guard = 0.5 * GRADCHECK_STEP
     for attempt in range(64):
         rng = np.random.default_rng(np.random.SeedSequence([23, int(seed), attempt]))
         x = rng.uniform(0.0, 1.0, size=(cfg.input_channels, 8, 8))
@@ -442,21 +438,21 @@ def finite_difference_check(
         for i in range(flat.size):
             a = analytic[name].reshape(-1)[i]
             keep = flat[i]
-            for step in (h, h / 4.0, h / 16.0):
+            for step in (GRADCHECK_STEP, GRADCHECK_STEP / 4.0, GRADCHECK_STEP / 16.0):
                 flat[i] = keep + step
                 up = loss_value()
                 flat[i] = keep - step
                 down = loss_value()
                 flat[i] = keep
                 numeric = (up - down) / (2.0 * step)
-                if abs(a - numeric) <= atol:
+                if abs(a - numeric) <= GRADCHECK_ATOL:
                     rel = 0.0
                     break
                 rel = abs(a - numeric) / max(abs(a), abs(numeric))
-                if rel < tol:
+                if rel < GRADCHECK_TOL:
                     break
             worst = max(worst, rel)
         report[name] = worst
-        if worst >= tol:
+        if worst >= GRADCHECK_TOL:
             ok = False
     return ok, report

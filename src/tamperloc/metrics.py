@@ -36,14 +36,12 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def binarize(pred: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Probabilities >= threshold become tampered; threshold must sit in (0, 1)."""
-    if not (0.0 < threshold < 1.0):
-        raise PipelineError("bad-threshold", f"threshold must be in (0, 1), got {threshold}")
+def binarize(pred: np.ndarray) -> np.ndarray:
+    """Probabilities >= ``DEFAULT_THRESHOLD`` become tampered."""
     pred = np.asarray(pred, dtype=np.float64)
     if pred.min() < 0.0 or pred.max() > 1.0:
         raise PipelineError("bad-prediction", "probabilities outside [0, 1]")
-    return pred >= threshold
+    return pred >= DEFAULT_THRESHOLD
 
 
 def confusion_counts(pred_bin: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
@@ -112,7 +110,6 @@ def evaluate(
     views: "Sequence[str] | None" = None,
     perturbation: "PerturbSpec | None" = None,
     seed: int = 0,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> MetricsReport:
     """Run the network over (id, frame, mask) items and average per-frame metrics.
 
@@ -130,7 +127,7 @@ def evaluate(
         if perturbation is not None:
             frame, truth = perturb_pair(frame, truth, perturbation, seed=[int(seed), index])
         pred = predict(params, frame, chosen)
-        c = confusion_counts(binarize(pred, threshold), truth)
+        c = confusion_counts(binarize(pred), truth)
         rows.append(FrameMetrics(item_id, miou(c), f1_score(c), foreground_iou(c)))
 
     return MetricsReport(
@@ -142,5 +139,5 @@ def evaluate(
         perturbation=perturbation.describe() if perturbation is not None else "none",
         seed=int(seed),
         arch=params.arch.variant,
-        threshold=threshold,
+        threshold=DEFAULT_THRESHOLD,
     )

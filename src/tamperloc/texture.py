@@ -61,31 +61,17 @@ def gabor_kernel(params: GaborParams, phase: str) -> Kernel2D:
     return Kernel2D(envelope * wave)
 
 
-@dataclass(frozen=True)
-class BankConfig:
-    """Filter bank layout: orientations x scales x quadrature phases."""
-
-    orientations: tuple[float, ...]
-    scales: tuple[tuple[float, float, int], ...]  # (sigma, wavelength, ksize)
-    gamma: float = 0.5
-    phi: float = 0.0
+BANK_ORIENTATIONS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+BANK_SCALES = ((2.0, 4.0, 13), (4.0, 8.0, 25))  # (sigma, wavelength, ksize)
 
 
-DEFAULT_BANK = BankConfig(
-    orientations=(0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4),
-    scales=((2.0, 4.0, 13), (4.0, 8.0, 25)),
-)
-
-
-def gabor_bank(cfg: BankConfig = DEFAULT_BANK) -> tuple[tuple[GaborParams, str], ...]:
+def gabor_bank() -> tuple[tuple[GaborParams, str], ...]:
     """Enumerate the bank: orientation outermost, scale next, phase innermost."""
-    if not cfg.orientations or not cfg.scales:
-        raise PipelineError("empty-bank", "need at least one orientation and one scale")
     entries = []
-    for theta in cfg.orientations:
-        for sigma, wavelength, ksize in cfg.scales:
+    for theta in BANK_ORIENTATIONS:
+        for sigma, wavelength, ksize in BANK_SCALES:
             for phase in PHASES:
-                entries.append((GaborParams(sigma, wavelength, cfg.gamma, cfg.phi, theta, ksize), phase))
+                entries.append((GaborParams(sigma, wavelength, gamma=0.5, phi=0.0, theta=theta, ksize=ksize), phase))
     return tuple(entries)
 
 
@@ -95,13 +81,13 @@ def _bank_label(params: GaborParams, phase: str) -> str:
 
 
 TEXTURE_LABELS = tuple(_bank_label(p, ph) for p, ph in gabor_bank())
-# the side of the largest kernel in the default bank, the shared FFT support
+# the side of the largest kernel in the bank, the shared FFT support
 BANK_SIDE = max(p.ksize for p, _ in gabor_bank())
 
 
 @functools.lru_cache(maxsize=4)
 def _bank_spectrum(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The default bank's spectrum on a reflect-padded frame of ``shape``
+    """The bank's spectrum on a reflect-padded frame of ``shape``
     and each kernel's bound sum(|taps|), both read-only.
 
     Correlation is convolution with the flipped kernel; centring every kernel
@@ -121,7 +107,7 @@ def _bank_spectrum(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def extract_texture(f: Frame) -> FeatureStack:
-    """16-channel texture view: the default bank correlated with luminance.
+    """16-channel texture view: the Gabor bank correlated with luminance.
 
     Each response is normalised to [0, 1] by clamping to +-sum(|taps|) (the
     largest magnitude any unit-range input can produce) and mapping affinely.

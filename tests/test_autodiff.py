@@ -68,7 +68,6 @@ class TestForwardValues:
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         np.testing.assert_array_equal(ad.add(Tensor(a), Tensor(b)).data, a + b)
         np.testing.assert_array_equal(ad.mul(Tensor(a), Tensor(b)).data, a * b)
-        np.testing.assert_array_equal(ad.neg(Tensor(a)).data, -a)
 
     def test_add_broadcasts_like_numpy(self):
         a = np.arange(12.0).reshape(3, 4)
@@ -249,9 +248,6 @@ class TestBackward:
             [rng.normal(size=(3, 4)), rng.normal(size=(4,))],
         )
 
-    def test_neg(self):
-        check_gradients(lambda ts: weighted_mean(ad.neg(ts[0])), [default_rng(12).normal(size=(2, 3))])
-
     def test_matmul_2d(self):
         rng = default_rng(13)
         check_gradients(
@@ -380,8 +376,8 @@ class TestBackward:
         y = (rng.uniform(size=(4, 4)) > 0.5).astype(np.float64)
         p = ad.sigmoid(z)
         log_p = ad.log(p)
-        log_not_p = ad.log(ad.add(1.0, ad.neg(p)))
-        loss = ad.neg(ad.mean_all(ad.add(ad.mul(y, log_p), ad.mul(1.0 - y, log_not_p))))
+        log_not_p = ad.log(ad.add(1.0, ad.mul(p, -1.0)))
+        loss = ad.mul(ad.mean_all(ad.add(ad.mul(y, log_p), ad.mul(1.0 - y, log_not_p))), -1.0)
         ad.backward(loss)
         np.testing.assert_allclose(z.grad, (p.data - y) / y.size, rtol=1e-12)
 
@@ -408,14 +404,14 @@ class TestNoGrad:
         with pytest.raises(RuntimeError):
             with ad.no_grad():
                 raise RuntimeError("boom")
-        assert ad.neg(x).requires_grad
+        assert ad.mul(x, -1.0).requires_grad
 
     def test_flag_restored_after_nesting(self):
         x = Tensor(np.ones(2), requires_grad=True)
         with ad.no_grad():
             with ad.no_grad():
-                assert not ad.neg(x).requires_grad
-            assert not ad.neg(x).requires_grad
-        out = ad.mean_all(ad.neg(x))
+                assert not ad.mul(x, -1.0).requires_grad
+            assert not ad.mul(x, -1.0).requires_grad
+        out = ad.mean_all(ad.mul(x, -1.0))
         ad.backward(out)
         np.testing.assert_array_equal(x.grad, [-0.5, -0.5])

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tamperloc
 from tamperloc.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main, entry
 from tamperloc.datagen import load_manifest
 from tamperloc.formats import read_pgm, read_tensorfile, write_tensorfile
@@ -93,6 +97,20 @@ class TestDataErrors:
         code = cli_main(["infer", "--model", str(bad), "--in", str(frame), "--out", str(tmp_path / "m.pgm")])
         assert code == EXIT_DATA
         assert "corrupt-record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "plus-inf", "minus-inf"])
+    def test_infer_with_non_finite_parameter(self, corpus, model, tmp_path, capsys, value):
+        records = read_tensorfile(model)
+        for name, array in records:
+            if name == "head.w":
+                array.flat[0] = value
+        bad = tmp_path / "bad.uvlt"
+        write_tensorfile(bad, records)
+        frame = next(corpus.glob("*.ppm"))
+        code = cli_main(["infer", "--model", str(bad), "--in", str(frame), "--out", str(tmp_path / "m.pgm")])
+        assert code == EXIT_DATA
+        assert "corrupt-record" in capsys.readouterr().err
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_infer_with_non_utf8_record_name(self, corpus, model, tmp_path, capsys):
         blob = bytearray(model.read_bytes())
@@ -212,6 +230,16 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "gradient check passed" in out
         assert "head.w" in out
+
+
+@pytest.mark.parametrize("module", ["tamperloc", "tamperloc.cli"])
+@pytest.mark.parametrize("argv,code", [(["--help"], EXIT_OK), (["--bogus"], EXIT_USAGE)], ids=["help", "bad-argument"])
+def test_module_entry_point(module, argv, code):
+    src = str(Path(tamperloc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert "usage" in done.stdout + done.stderr
 
 
 def test_entry_exits_with_cli_code(monkeypatch):

@@ -8,10 +8,8 @@ from tamperloc.core import (
     Kernel2D,
     PipelineError,
     affine_map_to_unit,
-    affine_to_unit,
     apply_kernel_bank,
     concat_channels,
-    conv2d_same,
     luminance,
     rgb_stack,
 )
@@ -23,8 +21,9 @@ def random_frame(seed: int, h: int = 16, w: int = 16) -> Frame:
     return Frame(default_rng(seed).uniform(0.0, 1.0, (3, h, w)))
 
 
-def one_channel(data: np.ndarray) -> FeatureStack:
-    return FeatureStack(data[np.newaxis], ("c",))
+def correlate(channel: np.ndarray, kernel: Kernel2D) -> np.ndarray:
+    """One (H, W) channel correlated with one kernel."""
+    return apply_kernel_bank(channel[np.newaxis], kernel.taps[np.newaxis])[0, 0]
 
 
 class TestFrame:
@@ -74,53 +73,55 @@ class TestKernel2D:
 
 
 class TestConv2dSame:
+    """Same-size reflect-padded correlation through ``apply_kernel_bank``."""
+
     def test_identity_kernel(self):
         f = random_frame(1)
         ident = np.zeros((3, 3))
         ident[1, 1] = 1.0
-        out = conv2d_same(one_channel(f.data[0]), Kernel2D(ident))
-        assert np.array_equal(out.data[0], f.data[0])
+        out = correlate(f.data[0], Kernel2D(ident))
+        assert np.array_equal(out, f.data[0])
 
     def test_zero_sum_kernel_on_constant(self):
         k = Kernel2D(np.array([[1.0, -2.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 2.0, -1.0]]))
-        out = conv2d_same(one_channel(np.full((12, 12), 0.7)), k)
-        assert np.allclose(out.data, 0.0, atol=1e-15)
+        out = correlate(np.full((12, 12), 0.7), k)
+        assert np.allclose(out, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_loop_oracle(self, seed):
         rng = default_rng(seed)
         channel = rng.uniform(0.0, 1.0, (16, 16))
         taps = rng.normal(0.0, 1.0, (5, 5))
-        got = conv2d_same(one_channel(channel), Kernel2D(taps))
+        got = correlate(channel, Kernel2D(taps))
         want = conv2d_reflect(channel, taps)
-        assert np.allclose(got.data[0], want, atol=1e-10)
+        assert np.allclose(got, want, atol=1e-10)
 
     def test_linearity(self):
         rng = default_rng(7)
         a, b = rng.uniform(size=(16, 16)), rng.uniform(size=(16, 16))
         k = Kernel2D(rng.normal(size=(3, 3)))
-        lhs = conv2d_same(one_channel(0.3 * a + 0.6 * b), k)
-        rhs = 0.3 * conv2d_same(one_channel(a), k).data + 0.6 * conv2d_same(one_channel(b), k).data
-        assert np.allclose(lhs.data, rhs, atol=1e-12)
+        lhs = correlate(0.3 * a + 0.6 * b, k)
+        rhs = 0.3 * correlate(a, k) + 0.6 * correlate(b, k)
+        assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_horizontal_flip_anticommutes_with_sobel_x(self):
         sobel_x = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
         channel = default_rng(3).uniform(size=(16, 16))
-        lhs = conv2d_same(one_channel(channel[:, ::-1]), Kernel2D(sobel_x))
-        rhs = -conv2d_same(one_channel(channel), Kernel2D(sobel_x)).data[:, :, ::-1]
-        assert np.allclose(lhs.data, rhs, atol=1e-12)
+        lhs = correlate(channel[:, ::-1], Kernel2D(sobel_x))
+        rhs = -correlate(channel, Kernel2D(sobel_x))[:, ::-1]
+        assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_kernel_exceeds_image(self):
         with pytest.raises(PipelineError, match="kernel-exceeds-image"):
-            conv2d_same(one_channel(np.zeros((8, 8))), Kernel2D(np.zeros((17, 17))))
+            correlate(np.zeros((8, 8)), Kernel2D(np.zeros((17, 17))))
 
     def test_preserves_all_channels(self):
         f = random_frame(2)
         k = Kernel2D(default_rng(0).normal(size=(3, 3)))
-        out = conv2d_same(rgb_stack(f), k)
-        assert out.channels == 3
+        out = apply_kernel_bank(f.data, k.taps[np.newaxis])[0]
+        assert out.shape[0] == 3
         for c in range(3):
-            assert np.allclose(out.data[c], conv2d_reflect(f.data[c], k.taps), atol=1e-10)
+            assert np.allclose(out[c], conv2d_reflect(f.data[c], k.taps), atol=1e-10)
 
 
 class TestApplyKernelBank:
@@ -181,12 +182,6 @@ class TestAffineToUnit:
         vals = default_rng(2).normal(0.0, 3.0, (16, 16))
         assert np.allclose(affine_map_to_unit(vals, -4.0, 4.0),
                            affine_unit(vals, -4.0, 4.0), atol=1e-15)
-
-    def test_stack_variant_keeps_labels(self):
-        stack = FeatureStack(default_rng(3).normal(size=(2, 8, 8)), ("m", "n"))
-        out = affine_to_unit(stack, -4.0, 4.0)
-        assert out.labels == ("m", "n")
-        assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_bad_range(self):
         with pytest.raises(PipelineError, match="bad-range"):

@@ -185,6 +185,13 @@ class TestTensorFile:
         with pytest.raises(PipelineError, match="corrupt-record"):
             read_tensorfile(path)
 
+    def test_rejects_dims_whose_product_wraps_int64(self, tmp_path):
+        path = tmp_path / "t.uvlt"
+        record = struct.pack("<H", 1) + b"x" + struct.pack("<I", 8) + struct.pack("<8I", *[2**31] * 8)
+        path.write_bytes(TENSOR_MAGIC + struct.pack("<II", 1, 1) + record)
+        with pytest.raises(PipelineError, match="corrupt-record"):
+            read_tensorfile(path)
+
     def test_rejects_trailing_bytes(self, tmp_path):
         path = tmp_path / "t.uvlt"
         write_tensorfile(path, [("v", np.zeros(2))])
@@ -339,6 +346,20 @@ class TestModelContainer:
         write_tensorfile(path, records)
         with pytest.raises(PipelineError, match="corrupt-record"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "plus-inf", "minus-inf"])
+    def test_rejects_non_finite_parameter(self, tmp_path, value):
+        path = self.saved_with_row(tmp_path, "head.w", (0, 0), value)
+        with pytest.raises(PipelineError, match="corrupt-record"):
+            load_model(path)
+
+    def test_save_refuses_parameter_that_overflows_float32(self, tmp_path):
+        params = init_network(micro_arch(), 0)
+        params.tensors["head.b"].data[0] = 1e39
+        path = tmp_path / "m.uvlt"
+        with pytest.raises(PipelineError, match="non-finite-parameter"):
+            save_model(path, params)
+        assert not path.exists()
 
 
 def sample_report() -> MetricsReport:

@@ -34,11 +34,6 @@ class TestBinarize:
         pred = np.array([[0.49, 0.5], [0.51, 1.0]])
         np.testing.assert_array_equal(binarize(pred), [[False, True], [True, True]])
 
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.1, 1.5])
-    def test_rejects_degenerate_threshold(self, threshold):
-        with pytest.raises(PipelineError, match="bad-threshold"):
-            binarize(np.full((2, 2), 0.5), threshold)
-
     def test_rejects_out_of_range_probabilities(self):
         with pytest.raises(PipelineError, match="bad-prediction"):
             binarize(np.array([[0.5, 1.2]]))

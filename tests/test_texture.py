@@ -7,8 +7,7 @@ from numpy.random import default_rng
 from tamperloc.core import Frame, PipelineError
 from tamperloc import texture
 from tamperloc.texture import (
-    BankConfig,
-    DEFAULT_BANK,
+    BANK_SCALES,
     GaborParams,
     extract_texture,
     gabor_bank,
@@ -85,15 +84,7 @@ class TestGaborBank:
         p1, phase1 = bank[1]
         assert (p0.theta, phase0) == (0.0, "even")
         assert (p1.theta, phase1) == (0.0, "odd")
-        assert p0.sigma == DEFAULT_BANK.scales[0][0]
-
-    def test_single_orientation_single_scale(self):
-        cfg = BankConfig(orientations=(0.0,), scales=(DEFAULT_BANK.scales[0],))
-        assert len(gabor_bank(cfg)) == 2
-
-    def test_empty_bank_rejected(self):
-        with pytest.raises(PipelineError, match="empty-bank"):
-            gabor_bank(BankConfig(orientations=(), scales=DEFAULT_BANK.scales))
+        assert p0.sigma == BANK_SCALES[0][0]
 
     def test_theta_outer_scale_middle_phase_inner(self):
         bank = gabor_bank()
