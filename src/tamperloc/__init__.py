@@ -7,7 +7,7 @@ Synthetic corpus generation, perturbation robustness transforms, pixel-level
 metrics, bit-exact file formats and a CLI round out the pipeline.
 """
 
-from .core import FeatureStack, Frame, Kernel2D, concat_channels, luminance, rgb_stack
+from .core import FeatureStack, Frame, Kernel2D, luminance
 from .datagen import (
     DatasetManifest,
     Region,
@@ -22,7 +22,7 @@ from .datagen import (
     simulate_inpaint,
     splice,
 )
-from .edge import edge_features, laplacian_features, sobel_features
+from .edge import edge_features
 from .errors import PipelineError
 from .formats import (
     load_model,
@@ -83,7 +83,6 @@ __all__ = [
     "bce_loss",
     "binarize",
     "build_feature_stack",
-    "concat_channels",
     "confusion_counts",
     "dct2",
     "edge_features",
@@ -97,7 +96,6 @@ __all__ = [
     "gabor_kernel",
     "idct2",
     "init_network",
-    "laplacian_features",
     "load_manifest",
     "load_model",
     "load_split",
@@ -115,12 +113,10 @@ __all__ = [
     "read_ppm",
     "read_report",
     "read_tensorfile",
-    "rgb_stack",
     "sample_region",
     "sample_splice_spec",
     "save_model",
     "simulate_inpaint",
-    "sobel_features",
     "splice",
     "srm_features",
     "train",

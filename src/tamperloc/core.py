@@ -121,25 +121,20 @@ def apply_kernel_bank(data: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return np.stack([ndimage.correlate(data, k[np.newaxis], mode="mirror") for k in kernels])
 
 
-def concat_channels(parts: "list[FeatureStack] | tuple[FeatureStack, ...]") -> FeatureStack:
-    """Stack feature stacks along the channel axis; spatial dims must agree."""
-    parts = list(parts)
-    if not parts:
-        raise PipelineError("empty-input", "nothing to concatenate")
-    shape = parts[0].data.shape[1:]
-    for p in parts[1:]:
-        if p.data.shape[1:] != shape:
-            raise PipelineError("shape-mismatch", f"{p.data.shape[1:]} vs {shape}")
-    data = np.concatenate([p.data for p in parts], axis=0)
-    labels = tuple(label for p in parts for label in p.labels)
-    return FeatureStack(data, labels)
+def affine_map_to_unit(data: np.ndarray, lo, hi) -> np.ndarray:
+    """Clamp ``data`` to [lo, hi] and map that interval onto [0, 1].
 
-
-def affine_map_to_unit(data: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Clamp ``data`` to [lo, hi] and map that interval onto [0, 1]."""
-    if not (lo < hi):
+    ``lo`` and ``hi`` are scalars or arrays broadcasting against ``data``,
+    e.g. ``(K, 1, 1)`` for one bound pair per channel; any pair with
+    ``lo >= hi`` is ``bad-range``. Returns a fresh array, ``data`` is untouched.
+    """
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if not np.all(lo < hi):
         raise PipelineError("bad-range", f"need lo < hi, got [{lo}, {hi}]")
-    return (np.clip(data, lo, hi) - lo) / (hi - lo)
+    out = np.clip(data, lo, hi)
+    out -= lo
+    out /= hi - lo
+    return out
 
 
 def luminance(f: Frame) -> FeatureStack:
@@ -147,11 +142,6 @@ def luminance(f: Frame) -> FeatureStack:
     w = np.asarray(LUMA_WEIGHTS, dtype=np.float64)
     luma = np.tensordot(w, f.data, axes=(0, 0))
     return FeatureStack(luma[np.newaxis], ("luma",))
-
-
-def rgb_stack(f: Frame) -> FeatureStack:
-    """The frame itself as a labelled three-channel stack."""
-    return FeatureStack(f.data, RGB_LABELS)
 
 
 def split_item(entry, index: int) -> "tuple[str, Frame, np.ndarray]":

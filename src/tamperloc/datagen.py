@@ -459,14 +459,18 @@ def load_manifest(data_dir) -> DatasetManifest:
 
 
 def _manifest_schema_ok(doc) -> bool:
-    """The fields ``DatasetManifest`` and ``load_split`` read, with their types."""
+    """The fields ``DatasetManifest`` and ``load_split`` read, with their types.
+
+    A path holding a NUL character cannot be opened, so it is malformed too.
+    """
     if not isinstance(doc, dict) or not isinstance(doc.get("counts"), dict):
         return False
     if any(type(doc.get(key)) is not int for key in ("seed", "size")):
         return False
     items = doc.get("items")
     return isinstance(items, list) and all(
-        isinstance(item, dict) and all(isinstance(item.get(key), str) for key in ("frame", "mask", "split"))
+        isinstance(item, dict)
+        and all(isinstance(item.get(key), str) and "\0" not in item[key] for key in ("frame", "mask", "split"))
         for item in items
     )
 

@@ -1,43 +1,28 @@
-"""Edge view: Sobel gradients and two Laplacian variants on each RGB channel."""
+"""Edge view: Sobel gradients and two Laplacian variants on each RGB channel.
+
+One filter-bank pass correlates every RGB channel with Sobel x, Sobel y, the
+4-neighbour and the 8-neighbour Laplacian (kernel-major order). Each response
+is clamped to the largest magnitude a unit-range input can produce with its
+kernel (+-4, +-4, +-4, +-8) and mapped affinely onto [0, 1].
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Frame, FeatureStack, Kernel2D, affine_map_to_unit, apply_kernel_bank, concat_channels
+from .core import Frame, FeatureStack, Kernel2D, affine_map_to_unit, apply_kernel_bank
 
 SOBEL_X = Kernel2D([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]])
 SOBEL_Y = Kernel2D(np.asarray(SOBEL_X.taps).T)
 LAPLACIAN_4 = Kernel2D([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
 LAPLACIAN_8 = Kernel2D([[1, 1, 1], [1, -8, 1], [1, 1, 1]])
 
-_CH = ("R", "G", "B")
-SOBEL_LABELS = tuple(f"sobel_{axis}_{c}" for axis in ("x", "y") for c in _CH)
-LAPLACIAN_LABELS = tuple(f"lap{n}_{c}" for n in (4, 8) for c in _CH)
-EDGE_LABELS = SOBEL_LABELS + LAPLACIAN_LABELS
-
-
-def _per_channel(f: Frame, kernels, bounds) -> np.ndarray:
-    """Apply each kernel to each RGB channel (kernel-major order), normalising
-    every response by its own symmetric bound."""
-    bank = np.stack([k.taps for k in kernels])
-    resp = apply_kernel_bank(f.data, bank)  # (K, 3, H, W)
-    out = np.empty_like(resp)
-    for i, bound in enumerate(bounds):
-        out[i] = affine_map_to_unit(resp[i], -bound, bound)
-    return out.reshape(-1, f.height, f.width)
-
-
-def sobel_features(f: Frame) -> FeatureStack:
-    """Six channels: x then y gradients of R, G, B, clamped to +-4."""
-    return FeatureStack(_per_channel(f, (SOBEL_X, SOBEL_Y), (4.0, 4.0)), SOBEL_LABELS)
-
-
-def laplacian_features(f: Frame) -> FeatureStack:
-    """Six channels: 4-neighbour (+-4) then 8-neighbour (+-8) Laplacians of R, G, B."""
-    return FeatureStack(_per_channel(f, (LAPLACIAN_4, LAPLACIAN_8), (4.0, 8.0)), LAPLACIAN_LABELS)
+_BANK = np.stack([k.taps for k in (SOBEL_X, SOBEL_Y, LAPLACIAN_4, LAPLACIAN_8)])
+_BOUNDS = np.array([4.0, 4.0, 4.0, 8.0])[:, None, None, None]
+EDGE_LABELS = tuple(f"{kind}_{c}" for kind in ("sobel_x", "sobel_y", "lap4", "lap8") for c in ("R", "G", "B"))
 
 
 def edge_features(f: Frame) -> FeatureStack:
-    """The 12-channel edge view: Sobel stack followed by Laplacian stack."""
-    return concat_channels([sobel_features(f), laplacian_features(f)])
+    """The 12-channel edge view: Sobel x, Sobel y, Laplacian-4, Laplacian-8 of R, G, B."""
+    resp = affine_map_to_unit(apply_kernel_bank(f.data, _BANK), -_BOUNDS, _BOUNDS)  # (4, 3, H, W)
+    return FeatureStack(resp.reshape(-1, f.height, f.width), EDGE_LABELS)

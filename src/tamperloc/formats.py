@@ -161,7 +161,8 @@ def read_tensorfile(path) -> list[tuple[str, np.ndarray]]:
         if r.pos + need > len(r.blob):
             raise PipelineError("corrupt-record", f"{name}: dims {dims} exceed payload")
         payload = r.take(need, "record payload")
-        array = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN widens quietly; load_model rejects it
+            array = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
         records.append((name, array))
     if r.pos != len(r.blob):
         raise PipelineError("corrupt-record", f"{len(r.blob) - r.pos} trailing bytes")
@@ -244,8 +245,9 @@ def load_model(path) -> tuple[ParamStore, tuple[str, ...]]:
     if not (0 <= high < 2**24 and 0 <= low < 2**24):
         raise PipelineError("corrupt-record", f"{_META_SEED} halves must lie in [0, 2**24), got {high}, {low}")
     seed = high * 2**24 + low
-    if table[_META_FEATURES].shape != (len(FEATURE_VIEWS),):
-        raise PipelineError("corrupt-record", f"bad feature row {table[_META_FEATURES].shape}")
+    bits = _integer_row(table, _META_FEATURES, len(FEATURE_VIEWS))
+    if any(bit not in (0, 1) for bit in bits):
+        raise PipelineError("corrupt-record", f"{_META_FEATURES} must hold 0 or 1 per view, got {bits}")
     tensors: dict[str, Tensor] = {}
     for name, shape, _ in param_spec(cfg):
         if name not in table:
@@ -255,7 +257,7 @@ def load_model(path) -> tuple[ParamStore, tuple[str, ...]]:
         if not np.isfinite(table[name]).all():
             raise PipelineError("corrupt-record", f"{name}: non-finite value")
         tensors[name] = Tensor(table[name], requires_grad=True)
-    views = tuple(v for v, bit in zip(FEATURE_VIEWS, table[_META_FEATURES]) if bit >= 0.5)
+    views = tuple(v for v, bit in zip(FEATURE_VIEWS, bits) if bit)
     return ParamStore(cfg, seed, tensors), views
 
 

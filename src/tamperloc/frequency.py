@@ -89,11 +89,5 @@ def frequency_features(f: Frame) -> FeatureStack:
     Reconstructions are clamped to [-1, 2] (band filtering can overshoot the
     input range) and mapped affinely onto [0, 1].
     """
-    out = np.empty((len(BAND_SPECS) * 3, f.height, f.width), dtype=np.float64)
-    i = 0
-    for block_size, band in BAND_SPECS:
-        for c in range(3):
-            recon = band_reconstruct(f.data[c], block_size, band)
-            out[i] = affine_map_to_unit(recon, CLAMP_LO, CLAMP_HI)
-            i += 1
-    return FeatureStack(out, FREQUENCY_LABELS)
+    recon = np.stack([band_reconstruct(channel, b, band) for b, band in BAND_SPECS for channel in f.data])
+    return FeatureStack(affine_map_to_unit(recon, CLAMP_LO, CLAMP_HI), FREQUENCY_LABELS)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import FeatureStack, Frame, concat_channels, rgb_stack
+from .core import RGB_LABELS, FeatureStack, Frame
 from .edge import EDGE_LABELS, edge_features
 from .errors import PipelineError
 from .frequency import FREQUENCY_LABELS, frequency_features
@@ -42,8 +42,8 @@ _VIEW_EXTRACTORS = {
     "frequency": (frequency_features, FREQUENCY_LABELS),
 }
 
-# rgb + texture + edge + pixel + frequency
-INPUT_CHANNELS = 3 + len(TEXTURE_LABELS) + len(EDGE_LABELS) + len(SRM_LABELS) + len(FREQUENCY_LABELS)
+STACK_LABELS = RGB_LABELS + TEXTURE_LABELS + EDGE_LABELS + SRM_LABELS + FREQUENCY_LABELS
+INPUT_CHANNELS = len(STACK_LABELS)
 
 PROB_CLAMP = 1e-7
 
@@ -361,14 +361,11 @@ def build_feature_stack(f: Frame, views: "Iterable[str] | None" = None) -> Featu
     network accepts any switch combination.
     """
     chosen = check_views(views)
-    parts = [rgb_stack(f)]
+    parts = [f.data]
     for view in FEATURE_VIEWS:
         extractor, labels = _VIEW_EXTRACTORS[view]
-        if view in chosen:
-            parts.append(extractor(f))
-        else:
-            parts.append(FeatureStack(np.zeros((len(labels), f.height, f.width)), labels))
-    return concat_channels(parts)
+        parts.append(extractor(f).data if view in chosen else np.zeros((len(labels), f.height, f.width)))
+    return FeatureStack(np.concatenate(parts), STACK_LABELS)
 
 
 def predict(params: ParamStore, f: Frame, views: "Iterable[str] | None" = None) -> np.ndarray:

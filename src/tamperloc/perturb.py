@@ -92,16 +92,8 @@ def parse_spec(text: str) -> PerturbSpec:
 
 
 def perturb_suite() -> tuple[PerturbSpec, ...]:
-    """The standard robustness sweep, in reporting order."""
-    return (
-        PerturbSpec("none"),
-        PerturbSpec("compression", 75.0),
-        PerturbSpec("detail", 1.0),
-        PerturbSpec("gaussian", 0.02),
-        PerturbSpec("blur", 1.5),
-        PerturbSpec("median", 3.0),
-        PerturbSpec("flip"),
-    )
+    """The standard robustness sweep: every kind at its default strength, in reporting order."""
+    return tuple(PerturbSpec(kind) for kind in KINDS)
 
 
 def gaussian_taps(sigma: float, ksize: int) -> np.ndarray:

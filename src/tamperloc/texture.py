@@ -119,8 +119,5 @@ def extract_texture(f: Frame) -> FeatureStack:
     padded = np.pad(luminance(f).data[0], r, mode="reflect")
     bank_spectrum, bounds = _bank_spectrum(padded.shape)
     resp = irfft2(rfft2(padded) * bank_spectrum, padded.shape)[:, 2 * r :, 2 * r :]  # (K, H, W)
-
-    out = np.empty_like(resp)
-    for i, bound in enumerate(bounds):
-        out[i] = affine_map_to_unit(resp[i], -float(bound), float(bound))
-    return FeatureStack(out, TEXTURE_LABELS)
+    bounds = bounds[:, None, None]
+    return FeatureStack(affine_map_to_unit(resp, -bounds, bounds), TEXTURE_LABELS)

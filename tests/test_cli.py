@@ -12,6 +12,15 @@ from tamperloc.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main, 
 from tamperloc.datagen import load_manifest
 from tamperloc.formats import read_pgm, read_tensorfile, write_tensorfile
 
+from test_formats import poke_float32_bits
+
+
+def run_module(module: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m module argv`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(tamperloc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=60)
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -111,6 +120,30 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert "corrupt-record" in capsys.readouterr().err
         assert not (tmp_path / "m.pgm").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, 7.5, -1.0, 2.0], ids=["nan", "fractional", "minus-1", "two"])
+    def test_infer_with_corrupt_feature_row(self, corpus, model, tmp_path, capsys, value):
+        records = read_tensorfile(model)
+        for name, array in records:
+            if name == "meta.features":
+                array[0] = value
+        bad = tmp_path / "bad.uvlt"
+        write_tensorfile(bad, records)
+        frame = next(corpus.glob("*.ppm"))
+        code = cli_main(["infer", "--model", str(bad), "--in", str(frame), "--out", str(tmp_path / "m.pgm")])
+        assert code == EXIT_DATA
+        assert "corrupt-record" in capsys.readouterr().err
+
+    def test_infer_on_signalling_nan_prints_one_error_line(self, corpus, model, tmp_path):
+        bad = tmp_path / "bad.uvlt"
+        bad.write_bytes(model.read_bytes())
+        poke_float32_bits(bad, "head.b", 0x7F800001)
+        frame = next(corpus.glob("*.ppm"))
+        argv = ["infer", "--model", str(bad), "--in", str(frame), "--out", str(tmp_path / "m.pgm")]
+        done = run_module("tamperloc", argv)
+        assert done.returncode == EXIT_DATA
+        assert done.stderr.splitlines() == [done.stderr.strip()]
+        assert done.stderr.startswith("error:") and "corrupt-record" in done.stderr
 
     def test_infer_with_non_utf8_record_name(self, corpus, model, tmp_path, capsys):
         blob = bytearray(model.read_bytes())
@@ -235,9 +268,7 @@ class TestGradcheck:
 @pytest.mark.parametrize("module", ["tamperloc", "tamperloc.cli"])
 @pytest.mark.parametrize("argv,code", [(["--help"], EXIT_OK), (["--bogus"], EXIT_USAGE)], ids=["help", "bad-argument"])
 def test_module_entry_point(module, argv, code):
-    src = str(Path(tamperloc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=60)
+    done = run_module(module, argv)
     assert done.returncode == code
     assert "usage" in done.stdout + done.stderr
 

@@ -9,9 +9,7 @@ from tamperloc.core import (
     PipelineError,
     affine_map_to_unit,
     apply_kernel_bank,
-    concat_channels,
     luminance,
-    rgb_stack,
 )
 
 from oracles import conv2d_reflect, luminance_601, affine_unit
@@ -136,38 +134,6 @@ class TestApplyKernelBank:
                 assert np.allclose(out[ki, ci], conv2d_reflect(stack[ci], kernels[ki]), atol=1e-10)
 
 
-class TestConcatChannels:
-    def test_order_and_labels(self):
-        a = FeatureStack(np.zeros((2, 8, 8)), ("a0", "a1"))
-        b = FeatureStack(np.ones((1, 8, 8)), ("b0",))
-        out = concat_channels([a, b])
-        assert out.labels == ("a0", "a1", "b0")
-        assert np.array_equal(out.data[2], np.ones((8, 8)))
-
-    def test_slice_recovers_inputs_bitwise(self):
-        rng = default_rng(5)
-        a = FeatureStack(rng.uniform(size=(3, 8, 8)), ("x", "y", "z"))
-        b = FeatureStack(rng.uniform(size=(2, 8, 8)), ("u", "v"))
-        out = concat_channels([a, b])
-        assert np.array_equal(out.data[:3], a.data)
-        assert np.array_equal(out.data[3:], b.data)
-
-    def test_single_input_identity(self):
-        a = FeatureStack(default_rng(0).uniform(size=(2, 8, 8)), ("p", "q"))
-        out = concat_channels([a])
-        assert np.array_equal(out.data, a.data) and out.labels == a.labels
-
-    def test_empty_rejected(self):
-        with pytest.raises(PipelineError, match="empty-input"):
-            concat_channels([])
-
-    def test_spatial_mismatch_rejected(self):
-        a = FeatureStack(np.zeros((1, 8, 8)), ("a",))
-        b = FeatureStack(np.zeros((1, 8, 10)), ("b",))
-        with pytest.raises(PipelineError, match="shape-mismatch"):
-            concat_channels([a, b])
-
-
 class TestAffineToUnit:
     def test_endpoints_and_midpoint(self):
         vals = np.array([-4.0, 0.0, 4.0])
@@ -187,6 +153,26 @@ class TestAffineToUnit:
         with pytest.raises(PipelineError, match="bad-range"):
             affine_map_to_unit(np.zeros(3), 2.0, 2.0)
 
+    def test_per_channel_bounds_match_scalar_calls(self):
+        vals = default_rng(3).normal(0.0, 5.0, (4, 9, 7))
+        bounds = np.array([4.0, 4.0, 4.0, 8.0])
+        out = affine_map_to_unit(vals, -bounds[:, None, None], bounds[:, None, None])
+        for c, b in enumerate(bounds):
+            assert np.array_equal(out[c], affine_map_to_unit(vals[c], -float(b), float(b)))
+
+    def test_one_bad_pair_rejected(self):
+        lo = np.array([-1.0, 3.0, -2.0])[:, None]
+        hi = np.array([1.0, 3.0, 2.0])[:, None]
+        with pytest.raises(PipelineError, match="bad-range"):
+            affine_map_to_unit(np.zeros((3, 4)), lo, hi)
+
+    def test_input_left_unchanged(self):
+        vals = default_rng(4).normal(0.0, 5.0, (3, 8, 8))
+        before = vals.copy()
+        out = affine_map_to_unit(vals, -np.ones((3, 1, 1)), np.full((3, 1, 1), 2.0))
+        assert np.array_equal(vals, before)
+        assert not np.shares_memory(out, vals)
+
 
 class TestLuminance:
     def test_white_is_one(self):
@@ -202,10 +188,3 @@ class TestLuminance:
         f = random_frame(9, 8, 8)
         assert np.allclose(luminance(f).data[0], luminance_601(f.data), atol=1e-12)
 
-
-class TestRgbStack:
-    def test_labels_and_identity(self):
-        f = random_frame(4)
-        stack = rgb_stack(f)
-        assert stack.labels == ("rgb_R", "rgb_G", "rgb_B")
-        assert np.array_equal(stack.data, f.data)

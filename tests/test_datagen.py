@@ -337,8 +337,10 @@ class TestMakeDataset:
             b'{"seed": 0, "size": 64, "counts": {}, "items": {}}',
             b'{"seed": 0, "size": 64, "counts": {}, "items": [{"frame": "f.ppm", "mask": "m.pgm"}]}',
             b'{"seed": "0", "size": 64, "counts": {}, "items": []}',
+            b'{"seed": 0, "size": 64, "counts": {}, "items": [{"frame": "f\\u0000.ppm", "mask": "m.pgm", "split": "train"}]}',
         ],
-        ids=["truncated", "empty-object", "array", "not-utf8", "items-not-list", "item-without-split", "string-seed"],
+        ids=["truncated", "empty-object", "array", "not-utf8", "items-not-list", "item-without-split", "string-seed",
+             "nul-in-path"],
     )
     def test_malformed_manifest_is_bad_manifest(self, tmp_path, blob):
         (tmp_path / MANIFEST_NAME).write_bytes(blob)

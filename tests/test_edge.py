@@ -10,11 +10,19 @@ from tamperloc.edge import (
     SOBEL_X,
     SOBEL_Y,
     edge_features,
-    laplacian_features,
-    sobel_features,
 )
 
 from oracles import conv2d_reflect
+
+
+def sobel(f: Frame) -> np.ndarray:
+    """The six Sobel channels of the edge view: x then y of R, G, B."""
+    return edge_features(f).data[:6]
+
+
+def laplacians(f: Frame) -> np.ndarray:
+    """The six Laplacian channels of the edge view: 4- then 8-neighbour of R, G, B."""
+    return edge_features(f).data[6:]
 
 
 KERNELS_AND_BOUNDS = (
@@ -28,7 +36,9 @@ class TestLayout:
         stack = edge_features(f)
         assert stack.channels == 12
         assert stack.labels == EDGE_LABELS
-        assert stack.labels[:3] == ("sobel_x_R", "sobel_x_G", "sobel_x_B")
+        assert stack.labels == tuple(
+            f"{kind}_{c}" for kind in ("sobel_x", "sobel_y", "lap4", "lap8") for c in "RGB"
+        )
 
 
 class TestConstantAndSteps:
@@ -39,23 +49,23 @@ class TestConstantAndSteps:
     def test_vertical_step_saturates_sobel_x(self):
         data = np.zeros((3, 8, 8))
         data[:, :, 4:] = 1.0
-        stack = sobel_features(Frame(data))
+        stack = sobel(Frame(data))
         # columns flanking the step see the full +4 response on every row
         for c in range(3):
-            assert np.all(stack.data[c][:, 3:5] == 1.0)
+            assert np.all(stack[c][:, 3:5] == 1.0)
 
     def test_linear_ramp_zeroes_laplacians_interior(self):
         ramp = np.tile(np.linspace(0.0, 1.0, 16), (16, 1))
-        stack = laplacian_features(Frame(np.stack([ramp] * 3)))
-        assert np.allclose(stack.data[:, 1:-1, 1:-1], 0.5, atol=1e-12)
+        stack = laplacians(Frame(np.stack([ramp] * 3)))
+        assert np.allclose(stack[:, 1:-1, 1:-1], 0.5, atol=1e-12)
 
     def test_single_bright_pixel(self):
         data = np.zeros((3, 9, 9))
         data[:, 4, 4] = 1.0
-        stack = laplacian_features(Frame(data))
+        stack = laplacians(Frame(data))
         # center pixel: 4-neighbour response -4 -> 0.0; 8-neighbour -8 -> 0.0
-        assert stack.data[0, 4, 4] == 0.0  # lap4_R
-        assert stack.data[3, 4, 4] == 0.0  # lap8_R
+        assert stack[0, 4, 4] == 0.0  # lap4_R
+        assert stack[3, 4, 4] == 0.0  # lap8_R
 
 
 class TestOracle:
@@ -76,22 +86,22 @@ class TestFlipInvariants:
     def test_sobel_x_mirror_negates(self):
         f = Frame(default_rng(1).uniform(size=(3, 12, 12)))
         flipped = Frame(f.data[:, :, ::-1])
-        a = sobel_features(f).data[:3]
-        b = sobel_features(flipped).data[:3]
+        a = sobel(f)[:3]
+        b = sobel(flipped)[:3]
         assert np.allclose(b, 1.0 - a[:, :, ::-1], atol=1e-12)
 
     def test_sobel_y_mirror_commutes(self):
         f = Frame(default_rng(2).uniform(size=(3, 12, 12)))
         flipped = Frame(f.data[:, :, ::-1])
-        a = sobel_features(f).data[3:]
-        b = sobel_features(flipped).data[3:]
+        a = sobel(f)[3:]
+        b = sobel(flipped)[3:]
         assert np.allclose(b, a[:, :, ::-1], atol=1e-12)
 
     def test_laplacians_mirror_invariant(self):
         f = Frame(default_rng(3).uniform(size=(3, 12, 12)))
         flipped = Frame(f.data[:, :, ::-1])
-        a = laplacian_features(f).data
-        b = laplacian_features(flipped).data
+        a = laplacians(f)
+        b = laplacians(flipped)
         assert np.allclose(b, a[:, :, ::-1], atol=1e-12)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ from tamperloc.formats import (
 )
 from tamperloc.fusion import forward, init_network, micro_arch
 from tamperloc.metrics import FrameMetrics, MetricsReport
+
+
+def poke_float32_bits(path, name: str, bits: int) -> None:
+    """Overwrite the first payload value of record ``name`` with raw float32 ``bits``."""
+    blob = bytearray(path.read_bytes())
+    at = blob.index(struct.pack("<H", len(name)) + name.encode()) + 2 + len(name)
+    (ndim,) = struct.unpack_from("<I", blob, at)
+    struct.pack_into("<I", blob, at + 4 + 4 * ndim, bits)
+    path.write_bytes(bytes(blob))
 
 
 def quantized_frame(seed: int, h: int = 12, w: int = 10) -> Frame:
@@ -346,6 +356,22 @@ class TestModelContainer:
         write_tensorfile(path, records)
         with pytest.raises(PipelineError, match="corrupt-record"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, 7.5, -1.0, 2.0], ids=["nan", "fractional", "minus-1", "two"])
+    def test_rejects_feature_bit_other_than_0_or_1(self, tmp_path, value):
+        path = self.saved_with_row(tmp_path, "meta.features", 1, value)
+        with pytest.raises(PipelineError, match="corrupt-record"):
+            load_model(path)
+
+    def test_rejects_signalling_nan_without_a_warning(self, tmp_path):
+        path = tmp_path / "m.uvlt"
+        save_model(path, init_network(micro_arch(), 0))
+        poke_float32_bits(path, "head.b", 0x7F800001)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PipelineError, match="corrupt-record"):
+                load_model(path)
+        assert caught == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "plus-inf", "minus-inf"])
     def test_rejects_non_finite_parameter(self, tmp_path, value):

@@ -8,7 +8,9 @@ from numpy.random import default_rng
 from tamperloc import autodiff as ad
 from tamperloc.autodiff import Tensor
 from tamperloc.core import FeatureStack, Frame
+from tamperloc.edge import edge_features
 from tamperloc.errors import PipelineError
+from tamperloc.frequency import frequency_features
 from tamperloc.fusion import (
     FEATURE_VIEWS,
     INPUT_CHANNELS,
@@ -25,6 +27,15 @@ from tamperloc.fusion import (
     param_spec,
     predict,
 )
+from tamperloc.pixel import srm_features
+from tamperloc.texture import extract_texture
+
+EXTRACTORS = {
+    "texture": extract_texture,
+    "edge": edge_features,
+    "pixel": srm_features,
+    "frequency": frequency_features,
+}
 
 
 def random_frame(seed: int, h: int = 32, w: int = 32) -> Frame:
@@ -273,6 +284,19 @@ class TestFeatureViews:
         assert stack.data.shape == (52, 32, 32)
         assert stack.labels[:3] == ("rgb_R", "rgb_G", "rgb_B")
         assert len(stack.labels) == 52
+
+    @pytest.mark.parametrize("views", [None, *[(v,) for v in FEATURE_VIEWS]])
+    def test_stack_is_rgb_then_each_view_bytes(self, views):
+        f = random_frame(6, 30, 45)
+        stack = build_feature_stack(f, views)
+        parts, labels = [f.data], ["rgb_R", "rgb_G", "rgb_B"]
+        for view in FEATURE_VIEWS:
+            own = EXTRACTORS[view](f)
+            on = views is None or view in views
+            parts.append(own.data if on else np.zeros_like(own.data))
+            labels += own.labels
+        assert stack.labels == tuple(labels)
+        assert stack.data.tobytes() == np.concatenate(parts).tobytes()
 
     def test_disabled_views_keep_zero_filled_slots(self):
         f = random_frame(1)

@@ -106,6 +106,9 @@ class TestPerturbSuite:
         assert len(suite) == 7
         assert [s.kind for s in suite] == ["none", "compression", "detail", "gaussian", "blur", "median", "flip"]
         assert suite[1].param == 75.0
+        assert [s.describe() for s in suite] == [
+            "none", "compression:75", "detail:1", "gaussian:0.02", "blur:1.5", "median:3", "flip",
+        ]
 
     def test_applied_suite_produces_distinct_frames_except_none(self):
         frame, mask = fixture_pair(3)
