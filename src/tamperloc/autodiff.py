@@ -11,12 +11,14 @@ no later op needs it.
 The op set is deliberately small: what the fusion network needs, plus
 ``softmax``, which no model code calls; it is kept only because the
 benchmark's tracer wraps it by name. ``attention`` is one fused op for
-scaled dot-product attention; it works through blocks of query rows, so its
-memory grows linearly in the token count. ``conv2d`` likewise works through
-bands of output rows, building each band's im2col columns channel-major and
-rebuilding them in the backward pass, so beyond its inputs, output and
-gradients it holds one band of columns, not a whole frame of them. Both
-recompute rather than store, as in Rabe & Staats (arXiv 2112.05682).
+scaled dot-product attention; it works through cache-sized tiles of query
+rows, so its memory grows linearly in the token count, and keeps only each
+row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
+2307.08691). ``conv2d`` likewise works through bands of output rows,
+building each band's im2col columns channel-major and rebuilding them in the
+backward pass, so beyond its inputs, output and gradients it holds one band
+of columns, not a whole frame of them. Both recompute rather than store, as
+in Rabe & Staats (arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .errors import PipelineError
 
 LAYER_NORM_EPS = 1e-12
 
-# Query rows per attention block. Blocks of 64-256 rows timed within 10% of
-# each other at 256 and 2304 tokens (64 and 192 px frames).
-ATTENTION_BLOCK = 128
+# Score entries per attention tile: 2**17 float64 are 1 MiB, inside a 2 MiB
+# per-core L2. A tile is max(1, ATTENTION_BLOCK // n_keys) query rows: 56 at
+# 2304 tokens (192 px frames), the whole head at 256 tokens (64 px).
+ATTENTION_BLOCK = 2**17
 
 # Output pixels per conv2d band. Over the three stage-1 convolutions at 192
 # px, one BLAS thread, bands of 1024-2048 pixels timed within 2% of each
@@ -227,46 +230,69 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def attention(q, k, v, scale: float) -> Tensor:
     """Scaled dot-product attention ``softmax(scale * q @ k^T) @ v``.
 
-    ``q``, ``k`` and ``v`` are (heads, n, dh). Query rows are processed in
-    blocks of ``ATTENTION_BLOCK``; every row's softmax is complete within its
-    block, so each output row comes from the same numpy ops, in the same
-    order, as the dense computation. The backward pass recomputes each
-    block's probabilities instead of storing them. Beyond the inputs, the
-    output and the gradients, forward and backward hold O(heads *
-    ATTENTION_BLOCK * n) floats at a time, never the O(heads * n^2) score
-    matrix.
+    ``q``, ``k`` and ``v`` are (heads, n, dh) with equal heads and dh; ``k``
+    and ``v`` hold the same number of keys. Each head is processed in tiles
+    of ``max(1, ATTENTION_BLOCK // n_keys)`` query rows, so a tile of scores
+    fits in a core's L2 cache. A tile takes four elementwise passes over its
+    scores (max, subtract, exp, sum) and divides the (rows, dh) output by
+    the row sums, never the probabilities. Every row's log-sum-exp is kept,
+    so the backward pass rebuilds a tile's probabilities as
+    ``exp(scale * q k^T - lse)`` and uses ``rowsum(g * out)`` in place of
+    ``rowsum(dP * P)``, as in FlashAttention-2 (Dao, arXiv 2307.08691).
+    Beyond the inputs, the output and the gradients, forward and backward
+    hold one tile of scores and heads * n row statistics, never the
+    O(heads * n^2) score matrix; the tape keeps only the log-sum-exp.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     qd, kd, vd = q.data, k.data, v.data
-    kt = np.swapaxes(kd, -1, -2)
-    n = qd.shape[-2]
-    block = ATTENTION_BLOCK
-    starts = range(0, n, block)
+    if (
+        not qd.ndim == kd.ndim == vd.ndim == 3
+        or not qd.shape[0] == kd.shape[0] == vd.shape[0]
+        or not qd.shape[2] == kd.shape[2] == vd.shape[2]
+        or kd.shape[1] != vd.shape[1]
+        or kd.shape[1] == 0
+    ):
+        raise PipelineError("shape-mismatch", f"attention q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    heads, n, _ = qd.shape
+    rows = max(1, ATTENTION_BLOCK // kd.shape[1])
+    tiles = [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
-    def probs(lo):
-        s = qd[..., lo : lo + block, :] @ kt
-        s *= scale
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        return s
+    def scores(h, t, buf):
+        qs = qd[h, t] * scale
+        return qs, np.matmul(qs, kd[h].T, out=buf[: len(qs)])
 
-    out = np.empty(qd.shape[:-1] + vd.shape[-1:])
-    for lo in starts:
-        out[..., lo : lo + block, :] = probs(lo) @ vd
+    tile = (min(rows, n), kd.shape[1])
+    buf = np.empty(tile)  # reused by every tile; never kept by the tape
+    out = np.empty(qd.shape)
+    lse = np.empty((heads, n, 1))
+    for h in range(heads):
+        for t in tiles:
+            _, s = scores(h, t, buf)
+            m = s.max(axis=1, keepdims=True)
+            s -= m
+            np.exp(s, out=s)
+            z = s.sum(axis=1, keepdims=True)
+            np.matmul(s, vd[h], out=out[h, t])
+            out[h, t] /= z
+            lse[h, t] = m + np.log(z)
 
     def back(g):
         dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        for lo in starts:
-            p = probs(lo)
-            gb = g[..., lo : lo + block, :]
-            dv += np.swapaxes(p, -1, -2) @ gb
-            ds = gb @ np.swapaxes(vd, -1, -2)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= scale
-            dq[..., lo : lo + block, :] = ds @ kd
-            dk += np.swapaxes(ds, -1, -2) @ qd[..., lo : lo + block, :]
+        rowdot = (g * out).sum(axis=-1, keepdims=True)  # rowsum(dP * P), per query row
+        pbuf, dsbuf = np.empty(tile), np.empty(tile)
+        for h in range(heads):
+            for t in tiles:
+                qs, p = scores(h, t, pbuf)
+                p -= lse[h, t]
+                np.exp(p, out=p)
+                gt = g[h, t]
+                dv[h] += p.T @ gt
+                ds = np.matmul(gt, vd[h].T, out=dsbuf[: len(qs)])
+                ds -= rowdot[h, t]
+                ds *= p
+                np.matmul(ds, kd[h], out=dq[h, t])
+                dq[h, t] *= scale
+                dk[h] += ds.T @ qs
         _accumulate(q, dq)
         _accumulate(k, dk)
         _accumulate(v, dv)

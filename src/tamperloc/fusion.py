@@ -369,10 +369,20 @@ def build_feature_stack(f: Frame, views: "Iterable[str] | None" = None) -> Featu
 
 
 def predict(params: ParamStore, f: Frame, views: "Iterable[str] | None" = None) -> np.ndarray:
-    """Extract the selected views from a frame and run the network."""
+    """Extract the selected views from a frame and run the network.
+
+    A frame whose sides are not multiples of 4 has its feature stack
+    reflect-padded on the bottom and right up to the next multiple, and the
+    probability map cropped back to the frame; other frames are not padded.
+    """
     if params.arch.input_channels != INPUT_CHANNELS:
         raise PipelineError("bad-arch", "predict needs the full multi-view input layout")
-    return forward(params, build_feature_stack(f, views))
+    stack = build_feature_stack(f, views).data
+    h, w = f.height, f.width
+    if h % 4 == 0 and w % 4 == 0:
+        return forward(params, stack)
+    stack = np.pad(stack, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="reflect")
+    return np.ascontiguousarray(forward(params, stack)[:h, :w])
 
 
 GRADCHECK_STEP = 1e-5

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .core import Frame, FeatureStack, Kernel2D, affine_map_to_unit, luminance
 from .errors import PipelineError
@@ -87,7 +87,7 @@ BANK_SIDE = max(p.ksize for p, _ in gabor_bank())
 
 @functools.lru_cache(maxsize=4)
 def _bank_spectrum(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The bank's spectrum on a reflect-padded frame of ``shape``
+    """The bank's spectrum at the FFT size ``shape``
     and each kernel's bound sum(|taps|), both read-only.
 
     Correlation is convolution with the flipped kernel; centring every kernel
@@ -111,13 +111,18 @@ def extract_texture(f: Frame) -> FeatureStack:
 
     Each response is normalised to [0, 1] by clamping to +-sum(|taps|) (the
     largest magnitude any unit-range input can produce) and mapping affinely.
-    The bank's spectrum is cached per frame shape.
+    Each FFT axis is zero-padded from the reflect-padded side + 24 to the
+    next fast length; the extra zeros only push wrap-around further from
+    the cropped region, so the result is exact up to rounding. The bank's
+    spectrum is cached per FFT size.
     """
-    if BANK_SIDE > f.height or BANK_SIDE > f.width:
-        raise PipelineError("kernel-exceeds-image", f"kernel {BANK_SIDE}x{BANK_SIDE} on {f.height}x{f.width}")
+    h, w = f.height, f.width
+    if BANK_SIDE > h or BANK_SIDE > w:
+        raise PipelineError("kernel-exceeds-image", f"kernel {BANK_SIDE}x{BANK_SIDE} on {h}x{w}")
     r = BANK_SIDE // 2
     padded = np.pad(luminance(f).data[0], r, mode="reflect")
-    bank_spectrum, bounds = _bank_spectrum(padded.shape)
-    resp = irfft2(rfft2(padded) * bank_spectrum, padded.shape)[:, 2 * r :, 2 * r :]  # (K, H, W)
+    size = tuple(next_fast_len(side, real=True) for side in padded.shape)
+    bank_spectrum, bounds = _bank_spectrum(size)
+    resp = irfft2(rfft2(padded, size) * bank_spectrum, size)[:, 2 * r : 2 * r + h, 2 * r : 2 * r + w]  # (K, H, W)
     bounds = bounds[:, None, None]
     return FeatureStack(affine_map_to_unit(resp, -bounds, bounds), TEXTURE_LABELS)

@@ -107,17 +107,68 @@ class TestForwardValues:
 
     @pytest.mark.parametrize("n", [5, 8, 13, 24])
     def test_attention_matches_dense_across_block_edges(self, monkeypatch, n):
-        # block 8: n below, equal to, not a multiple of, and a multiple of it
-        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8)
+        # a budget of 8 rows of n keys: one tile per head of n rows below or
+        # equal to 8, tiles that do not divide n, and tiles that do
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8 * n)
         q, k, v = qkv(n, 3, n, 4)
         got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
         np.testing.assert_allclose(got, dense_attention(q, k, v, 0.5), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("block", [0, 6, 7, 13])
+    def test_attention_one_row_tiles_match_dense(self, monkeypatch, block):
+        # any budget below two rows of 7 keys gives 1-row tiles
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
+        q, k, v = qkv(block, 2, 7, 3)
+        got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+        np.testing.assert_allclose(got, dense_attention(q, k, v, 0.5), rtol=1e-12, atol=1e-12)
+
     def test_attention_default_block_matches_dense(self):
-        n = 2 * ad.ATTENTION_BLOCK + 37
+        n = 600
+        rows = ad.ATTENTION_BLOCK // n
+        assert 2 * rows < n < 3 * rows  # two full tiles and a remainder
         q, k, v = qkv(3, 2, n, 8)
         got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 8**-0.5).data
         np.testing.assert_allclose(got, dense_attention(q, k, v, 8**-0.5), rtol=1e-12, atol=1e-12)
+
+    def test_attention_memory_is_bounded_by_one_tile(self):
+        # no-grad, as one head split of a 192 px frame: beyond the output and
+        # the row statistics, one tile of scores; 128 query rows of all four
+        # heads would be 9.4 MB on their own
+        heads, n, dh = 4, 2304, 16
+        q, k, v = (Tensor(a) for a in qkv(6, heads, n, dh))
+        tile = ad.ATTENTION_BLOCK // n * n * 8
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                out = ad.attention(q, k, v, dh**-0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tile + out.data.nbytes + heads * n * 8 + (128 << 10)
+
+    def test_attention_tape_keeps_only_the_log_sum_exp(self):
+        heads, n, dh = 4, 600, 16
+        q, k, v = (Tensor(a, requires_grad=True) for a in qkv(7, heads, n, dh))
+        tracemalloc.start()
+        try:
+            out = ad.attention(q, k, v, dh**-0.5)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held < out.data.nbytes + heads * n * 8 + (16 << 10)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((5, 4), (1, 5, 4), (1, 5, 4)), ((1, 5, 4), (1, 5, 4), (1, 1, 5, 4)), ((2, 5, 4), (1, 5, 4), (1, 5, 4)),
+         ((2, 5, 4), (2, 5, 4), (3, 5, 4)), ((1, 5, 4), (1, 5, 3), (1, 5, 4)), ((1, 5, 4), (1, 5, 4), (1, 5, 3)),
+         ((1, 5, 4), (1, 6, 4), (1, 5, 4)), ((1, 5, 4), (1, 0, 4), (1, 0, 4))],
+        ids=["q-2d", "v-4d", "heads-q", "heads-v", "dh-k", "dh-v", "keys-vs-values", "no-keys"],
+    )
+    def test_attention_rejects_mismatched_shapes(self, shapes):
+        q, k, v = (Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(PipelineError, match="shape-mismatch"):
+            ad.attention(q, k, v, 0.5)
 
     def test_layer_norm_standardises_rows(self):
         x = default_rng(3).normal(size=(4, 7)) * 3.0 + 2.0
@@ -292,7 +343,8 @@ class TestBackward:
         check_gradients(lambda ts: weighted_mean(ad.softmax(ts[0], axis=-1)), [default_rng(19).normal(size=(3, 5))])
 
     def test_attention_spanning_three_blocks(self, monkeypatch):
-        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 4)
+        # tiles of 4 rows of 10 keys: 4, 4 and 2 query rows per head
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 40)
         check_gradients(
             lambda ts: weighted_mean(ad.attention(ts[0], ts[1], ts[2], 0.7)),
             [a * 0.5 for a in qkv(19, 2, 10, 3)],

@@ -10,7 +10,8 @@ import pytest
 import tamperloc
 from tamperloc.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main, entry
 from tamperloc.datagen import load_manifest
-from tamperloc.formats import read_pgm, read_tensorfile, write_tensorfile
+from tamperloc.core import Frame
+from tamperloc.formats import read_pgm, read_tensorfile, write_ppm, write_tensorfile
 
 from test_formats import poke_float32_bits
 
@@ -216,6 +217,16 @@ class TestTrainInferEval:
         assert mask.shape == (64, 64)
         assert set(np.unique(mask)) <= {0.0, 1.0}
         assert "tampered fraction" in capsys.readouterr().out
+
+    def test_infer_on_a_frame_that_is_not_a_multiple_of_4(self, model, tmp_path, capsys):
+        frame = tmp_path / "odd.ppm"
+        write_ppm(frame, Frame(np.random.default_rng(30).uniform(size=(3, 30, 30))))
+        out = tmp_path / "mask.pgm"
+        code = cli_main(["infer", "--model", str(model), "--in", str(frame), "--out", str(out)])
+        assert code == EXIT_OK
+        mask = read_pgm(out)
+        assert mask.shape == (30, 30)
+        assert set(np.unique(mask)) <= {0.0, 1.0}
 
     def test_infer_visual_mask_uses_gray_and_white(self, corpus, model, tmp_path):
         frame = sorted(corpus.glob("*.ppm"))[0]

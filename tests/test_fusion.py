@@ -330,6 +330,17 @@ class TestFeatureViews:
         assert made and all(t._backward_fn is None and not t._parents for t in made)
         assert all(t.grad is None for t in params.tensors.values())
 
+    @pytest.mark.parametrize("height,width", [(30, 30), (29, 32), (32, 27)])
+    def test_predict_pads_to_a_multiple_of_4_and_crops_back(self, height, width):
+        f = Frame(default_rng(height + width).uniform(size=(3, height, width)))
+        params = init_network(ArchConfig(), 0)
+        padded = np.pad(
+            build_feature_stack(f).data, ((0, 0), (0, -height % 4), (0, -width % 4)), mode="reflect"
+        )
+        got = predict(params, f)
+        assert got.shape == (height, width)
+        np.testing.assert_array_equal(got, forward(params, padded)[:height, :width])
+
     def test_predict_rejects_non_multiview_arch(self):
         with pytest.raises(PipelineError, match="bad-arch"):
             predict(init_network(micro_arch(), 0), random_frame(4))
