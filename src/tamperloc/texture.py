@@ -111,8 +111,8 @@ def extract_texture(f: Frame) -> FeatureStack:
 
     Each response is normalised to [0, 1] by clamping to +-sum(|taps|) (the
     largest magnitude any unit-range input can produce) and mapping affinely.
-    Each FFT axis is zero-padded from the reflect-padded side + 24 to the
-    next fast length; the extra zeros only push wrap-around further from
+    Each FFT axis of the reflect-padded frame (side + 24) is zero-padded to
+    the next fast length; the extra zeros only push wrap-around further from
     the cropped region, so the result is exact up to rounding. The bank's
     spectrum is cached per FFT size.
     """
