@@ -447,9 +447,14 @@ def avg_pool2(x: Tensor) -> Tensor:
     return _make(y, (x,), back)
 
 
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
+def upsample_nearest(x: Tensor, factor: int, size: tuple[int, int]) -> Tensor:
+    """Repeat each pixel ``factor`` x ``factor`` times and keep the top-left ``size``."""
+    c, h, w = x.data.shape
+    full, crop = (c, h * factor, w * factor), np.s_[:, : size[0], : size[1]]
+
     def back(g):
-        c, h, w = x.data.shape
+        if g.shape != full:  # the cropped margin gets a zero gradient
+            g = np.pad(g, ((0, 0), (0, full[1] - size[0]), (0, full[2] - size[1])))
         _accumulate(x, g.reshape(c, h, factor, w, factor).sum(axis=(2, 4)))
 
-    return _make(np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2), (x,), back)
+    return _make(np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2)[crop], (x,), back)

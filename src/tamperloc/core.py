@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,3 +160,10 @@ def split_item(entry, index: int) -> "tuple[str, Frame, np.ndarray]":
     if mask.shape != (frame.height, frame.width):
         raise PipelineError("shape-mismatch", f"mask {mask.shape} vs frame {frame.height}x{frame.width}")
     return item_id, frame, mask
+
+
+def check_seed(seed, limit: float = math.inf) -> int:
+    """``seed`` as an int; ``bad-seed`` unless it is an integer in [0, ``limit``)."""
+    if not (0 <= seed < limit and int(seed) == seed):
+        raise PipelineError("bad-seed", f"seed must be an integer in [0, {limit}), got {seed!r}")
+    return int(seed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame
+from .core import Frame, check_seed
 from .errors import PipelineError
 from .formats import read_pgm, read_ppm, write_pgm, write_ppm
 from .perturb import gaussian_blur, quantize_like_jpeg
@@ -115,9 +115,7 @@ def make_texture(kind: str, seed: int, size: int) -> Frame:
         raise PipelineError("bad-kind", f"unknown texture {kind!r}, expected one of {TEXTURE_KINDS}")
     if size < MIN_TEXTURE_SIZE:
         raise PipelineError("bad-size", f"textures need size >= {MIN_TEXTURE_SIZE}, got {size}")
-    if int(seed) != seed or seed < 0:
-        raise PipelineError("bad-seed", f"seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([101, int(seed)]))
+    rng = np.random.default_rng(np.random.SeedSequence([101, check_seed(seed)]))
     field = _TEXTURE_FIELDS[kind](rng, int(size))
     return Frame(_colorize(field, rng))
 
@@ -399,6 +397,7 @@ def make_dataset(
         raise PipelineError("bad-split", f"train fraction {train_fraction} outside [0, 1]")
     if not (0.0 <= inpaint_fraction <= 1.0):
         raise PipelineError("bad-split", f"inpaint fraction {inpaint_fraction} outside [0, 1]")
+    seed = check_seed(seed)
 
     n_train = int(round(count * train_fraction))
     items = []
@@ -421,7 +420,7 @@ def make_dataset(
                 }
             )
         manifest = DatasetManifest(
-            seed=int(seed),
+            seed=seed,
             size=int(size),
             counts={"train": n_train, "eval": count - n_train},
             items=tuple(items),

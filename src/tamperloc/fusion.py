@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import RGB_LABELS, FeatureStack, Frame
+from .core import RGB_LABELS, FeatureStack, Frame, check_seed
 from .edge import EDGE_LABELS, edge_features
 from .errors import PipelineError
 from .frequency import FREQUENCY_LABELS, frequency_features
@@ -200,9 +200,8 @@ def init_network(cfg: ArchConfig, seed: int) -> ParamStore:
     Same (cfg, seed) always reproduces the same bytes.
     """
     # a saved model stores the seed as two 24-bit halves, each exact in float32
-    if int(seed) != seed or not 0 <= seed < 2**48:
-        raise PipelineError("bad-seed", f"seed must be an integer in [0, 2**48), got {seed!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([17, int(seed)]))
+    seed = check_seed(seed, 2**48)
+    rng = np.random.default_rng(np.random.SeedSequence([17, seed]))
     tensors: dict[str, Tensor] = {}
     for name, shape, init in param_spec(cfg):
         if init == "zeros":
@@ -213,7 +212,7 @@ def init_network(cfg: ArchConfig, seed: int) -> ParamStore:
             bound = 1.0 / math.sqrt(float(init))
             data = rng.uniform(-bound, bound, size=shape)
         tensors[name] = Tensor(data, requires_grad=True)
-    return ParamStore(cfg, int(seed), tensors)
+    return ParamStore(cfg, seed, tensors)
 
 
 def _attention_block(
@@ -256,29 +255,28 @@ def _run_encoder(grid: Tensor, p: ParamStore, cfg: ArchConfig, relu_trace: list 
 
 
 def _forward_graph(
-    p: ParamStore, x: Tensor, pad_mode: str, relu_trace: list | None = None
+    p: ParamStore, x: np.ndarray, pad_mode: str, relu_trace: list | None = None
 ) -> tuple[Tensor, Tensor]:
-    """Full tape: returns (pre-upsample logit grid, per-pixel probabilities).
+    """Full tape: (pre-upsample logit grid, (H, W) probabilities) of a stack.
 
-    When ``relu_trace`` is a list, every pre-activation tensor that feeds a ReLU
-    is appended to it; the finite-difference check uses this to reject points
-    where a kink sits inside the probe interval.
+    Sides that are not multiples of 4 are reflect-padded on the bottom and
+    right, and the probabilities cropped back. Pre-activations feeding a ReLU
+    are appended to ``relu_trace`` when it is a list, so the finite-difference
+    check can reject points where a kink sits inside the probe interval.
     """
     cfg = p.arch
-    c, h, w = x.data.shape
+    c, h, w = x.shape
     if c != cfg.input_channels:
         raise PipelineError("shape-mismatch", f"{c} input channels, expected {cfg.input_channels}")
     if h % 4 or w % 4:
-        raise PipelineError("bad-resolution", f"spatial dims must be multiples of 4, got {h}x{w}")
-
-    # center the unit-interval features; equivalent to a conv1 bias shift but
-    # keeps the ReLU units alive under the zero-bias fan-in init
-    x = ad.add(x, Tensor(np.full((1, 1, 1), -0.5)))
+        x = np.pad(x, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="reflect")
 
     def conv(name, t, stride=1, pad=0):
         return ad.conv2d(t, p[name + ".w"], p[name + ".b"], stride=stride, pad=pad, pad_mode=pad_mode)
 
-    t, branch = x, None
+    # center the unit-interval features; equivalent to a conv1 bias shift but
+    # keeps the ReLU units alive under the zero-bias fan-in init
+    t, branch = Tensor(x - 0.5), None
     for layer in variant_layers(cfg):
         if layer.kind == "encoder":
             t = _run_encoder(t, p, cfg, relu_trace)
@@ -296,8 +294,8 @@ def _forward_graph(
         else:
             t = conv(layer.name, t, layer.stride)
 
-    # t is now the head's (1, H/4, W/4) logit grid
-    return t, ad.sigmoid(ad.reshape(ad.upsample_nearest(t, 4), (h, w)))
+    # t is now the head's (1, ceil(H/4), ceil(W/4)) logit grid
+    return t, ad.sigmoid(ad.reshape(ad.upsample_nearest(t, 4, (h, w)), (h, w)))
 
 
 def _stack_data(x) -> np.ndarray:
@@ -311,18 +309,18 @@ def forward_graph(params: ParamStore, x, pad_mode: str = "zero") -> tuple[Tensor
 
     The logit grid is the stride-4 token map before upsampling, which is the
     right granularity for translation-consistency checks; probabilities are
-    the full-resolution sigmoid output used by the loss.
+    the (H, W) sigmoid output used by the loss. Any H and W are taken.
     """
-    return _forward_graph(params, x if isinstance(x, Tensor) else Tensor(_stack_data(x)), pad_mode)
+    return _forward_graph(params, _stack_data(x), pad_mode)
 
 
-def forward(params: ParamStore, x, pad_mode: str = "zero") -> np.ndarray:
+def forward(params: ParamStore, x) -> np.ndarray:
     """Predicted tamper probabilities, shape (H, W), each strictly in (0, 1).
 
     Runs without a tape: nothing is kept for a backward pass.
     """
     with ad.no_grad():
-        _, probs = _forward_graph(params, Tensor(_stack_data(x)), pad_mode)
+        _, probs = _forward_graph(params, _stack_data(x), "zero")
     return probs.data
 
 
@@ -369,20 +367,10 @@ def build_feature_stack(f: Frame, views: "Iterable[str] | None" = None) -> Featu
 
 
 def predict(params: ParamStore, f: Frame, views: "Iterable[str] | None" = None) -> np.ndarray:
-    """Extract the selected views from a frame and run the network.
-
-    A frame whose sides are not multiples of 4 has its feature stack
-    reflect-padded on the bottom and right up to the next multiple, and the
-    probability map cropped back to the frame; other frames are not padded.
-    """
+    """Extract the selected views from a frame and run :func:`forward` on them."""
     if params.arch.input_channels != INPUT_CHANNELS:
         raise PipelineError("bad-arch", "predict needs the full multi-view input layout")
-    stack = build_feature_stack(f, views).data
-    h, w = f.height, f.width
-    if h % 4 == 0 and w % 4 == 0:
-        return forward(params, stack)
-    stack = np.pad(stack, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="reflect")
-    return np.ascontiguousarray(forward(params, stack)[:h, :w])
+    return forward(params, build_feature_stack(f, views).data)
 
 
 GRADCHECK_STEP = 1e-5
@@ -416,15 +404,15 @@ def finite_difference_check(seed: int = 0, arch: "ArchConfig | None" = None) -> 
     A genuinely wrong tape gradient survives refinement, because the quotient
     converges to the true derivative while the analytic value stays wrong.
     """
-    cfg = arch or micro_arch()
+    cfg, seed = arch or micro_arch(), check_seed(seed)
     guard = 0.5 * GRADCHECK_STEP
     for attempt in range(64):
-        rng = np.random.default_rng(np.random.SeedSequence([23, int(seed), attempt]))
+        rng = np.random.default_rng(np.random.SeedSequence([23, seed, attempt]))
         x = rng.uniform(0.0, 1.0, size=(cfg.input_channels, 8, 8))
         target = (rng.uniform(size=(8, 8)) > 0.5).astype(np.float64)
-        params = init_network(cfg, int(seed) + 1000 * attempt)
+        params = init_network(cfg, seed + 1000 * attempt)
         trace: list[Tensor] = []
-        _, probs = _forward_graph(params, Tensor(x), "zero", trace)
+        _, probs = _forward_graph(params, x, "zero", trace)
         if min(float(np.abs(t.data).min()) for t in trace) >= guard:
             break
     else:

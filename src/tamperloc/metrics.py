@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import split_item
+from .core import check_seed, split_item
 from .errors import PipelineError
 from .fusion import ParamStore, check_views, predict
 from .perturb import PerturbSpec, perturb_pair
@@ -119,13 +119,13 @@ def evaluate(
     items = list(dataset)
     if not items:
         raise PipelineError("empty-dataset", "nothing to evaluate")
-    chosen = check_views(views)
+    chosen, seed = check_views(views), check_seed(seed)
 
     rows = []
     for index, item in enumerate(items):
         item_id, frame, truth = split_item(item, index)
         if perturbation is not None:
-            frame, truth = perturb_pair(frame, truth, perturbation, seed=[int(seed), index])
+            frame, truth = perturb_pair(frame, truth, perturbation, seed=[seed, index])
         pred = predict(params, frame, chosen)
         c = confusion_counts(binarize(pred), truth)
         rows.append(FrameMetrics(item_id, miou(c), f1_score(c), foreground_iou(c)))
@@ -137,7 +137,7 @@ def evaluate(
         per_frame=tuple(rows),
         features=chosen,
         perturbation=perturbation.describe() if perturbation is not None else "none",
-        seed=int(seed),
+        seed=seed,
         arch=params.arch.variant,
         threshold=DEFAULT_THRESHOLD,
     )

@@ -68,9 +68,8 @@ class PerturbSpec:
             raise PipelineError("bad-perturb-param", f"sigma must be in [0, 0.25], got {value}")
         if self.kind == "blur" and not (0.0 < value <= 6.0):
             raise PipelineError("bad-perturb-param", f"sigma must be in (0, 6], got {value}")
-        if self.kind == "median":
-            if value != int(value) or int(value) < 3 or int(value) % 2 == 0 or int(value) > 15:
-                raise PipelineError("bad-perturb-param", f"window must be odd in [3, 15], got {value}")
+        if self.kind == "median" and not (3.0 <= value <= 15.0 and value % 2 == 1.0):
+            raise PipelineError("bad-perturb-param", f"window must be odd in [3, 15], got {value}")
         object.__setattr__(self, "param", value)
 
     def describe(self) -> str:

@@ -207,8 +207,10 @@ class TestForwardValues:
 
     def test_upsample_nearest_repeats_pixels(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        y = ad.upsample_nearest(Tensor(x), 2).data
-        np.testing.assert_array_equal(y, np.repeat(np.repeat(x, 2, axis=1), 2, axis=2))
+        repeated = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+        for size in [(4, 4), (3, 4), (4, 3), (3, 3)]:
+            y = ad.upsample_nearest(Tensor(x), 2, size).data
+            np.testing.assert_array_equal(y, repeated[:, : size[0], : size[1]])
 
     # 3x3 as in the convolution stages; 1x1 as in the fuse, projection and head
     # layers; 4x4 at stride 4 as in the patch embedding
@@ -397,7 +399,11 @@ class TestBackward:
         check_gradients(lambda ts: weighted_mean(ad.avg_pool2(ts[0])), [default_rng(40).normal(size=(2, 4, 4))])
 
     def test_upsample_nearest(self):
-        check_gradients(lambda ts: weighted_mean(ad.upsample_nearest(ts[0], 4)), [default_rng(41).normal(size=(1, 3, 3))])
+        # whole, then cropped: the cropped margin gets no gradient
+        for size in [(12, 12), (10, 11)]:
+            check_gradients(
+                lambda ts: weighted_mean(ad.upsample_nearest(ts[0], 4, size)), [default_rng(41).normal(size=(1, 3, 3))]
+            )
 
     def test_reused_tensor_accumulates(self):
         x = Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)

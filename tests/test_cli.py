@@ -91,6 +91,34 @@ class TestDataErrors:
         assert "bad-seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--seed", "-1"],
+            ["eval", "--perturb", "gaussian", "--seed", "-1"],
+            ["eval", "--perturb", "median:nan"],
+            ["eval", "--perturb", "median:inf"],
+            ["train", "--augment", "median:nan"],
+        ],
+        ids=["gradcheck-seed", "eval-seed", "eval-median-nan", "eval-median-inf", "train-median-nan"],
+    )
+    def test_bad_seed_or_median_window_prints_one_error_line(self, corpus, model, tmp_path, capsys, argv):
+        paths = {
+            "eval": ["--model", str(model), "--data", str(corpus), "--json", str(tmp_path / "r.json")],
+            "train": ["--data", str(corpus), "--out", str(tmp_path / "m.uvlt"), "--steps", "1"],
+        }
+        assert cli_main(argv + paths.get(argv[0], [])) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert ("bad-seed" if "--seed" in argv else "bad-perturb-param") in err
+
+    def test_synth_with_negative_seed_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert cli_main(["synth", "--out", str(out), "--n", "2", "--size", "32", "--seed", "-1"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "bad-seed" in err
+        assert not out.exists()
+
     def test_train_on_missing_corpus(self, tmp_path):
         code = cli_main(["train", "--data", str(tmp_path / "no"), "--out", str(tmp_path / "m.uvlt")])
         assert code == EXIT_DATA
@@ -227,6 +255,18 @@ class TestTrainInferEval:
         mask = read_pgm(out)
         assert mask.shape == (30, 30)
         assert set(np.unique(mask)) <= {0.0, 1.0}
+
+    def test_synth_train_eval_infer_on_30_px_frames(self, tmp_path):
+        data, model = tmp_path / "corpus", tmp_path / "model.uvlt"
+        assert cli_main(["synth", "--out", str(data), "--n", "4", "--size", "30", "--seed", "0"]) == EXIT_OK
+        train_argv = ["train", "--data", str(data), "--out", str(model), "--steps", "1", "--batch", "2"]
+        assert cli_main(train_argv) == EXIT_OK
+        report = tmp_path / "report.json"
+        assert cli_main(["eval", "--model", str(model), "--data", str(data), "--json", str(report)]) == EXIT_OK
+        out = tmp_path / "mask.pgm"
+        frame = sorted(data.glob("*.ppm"))[0]
+        assert cli_main(["infer", "--model", str(model), "--in", str(frame), "--out", str(out)]) == EXIT_OK
+        assert read_pgm(out).shape == (30, 30)
 
     def test_infer_visual_mask_uses_gray_and_white(self, corpus, model, tmp_path):
         frame = sorted(corpus.glob("*.ppm"))[0]

@@ -9,6 +9,7 @@ from tamperloc.core import (
     PipelineError,
     affine_map_to_unit,
     apply_kernel_bank,
+    check_seed,
     luminance,
 )
 
@@ -188,3 +189,20 @@ class TestLuminance:
         f = random_frame(9, 8, 8)
         assert np.allclose(luminance(f).data[0], luminance_601(f.data), atol=1e-12)
 
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 5.0, 2**60])
+    def test_returns_the_seed_as_an_int(self, seed):
+        got = check_seed(seed)
+        assert type(got) is int and got == seed
+
+    @pytest.mark.parametrize("seed", [-1, -0.5, 1.5, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_negative_fractional_and_non_finite(self, seed):
+        with pytest.raises(PipelineError, match="bad-seed"):
+            check_seed(seed)
+
+    def test_limit_is_exclusive(self):
+        assert check_seed(2**48 - 1, 2**48) == 2**48 - 1
+        with pytest.raises(PipelineError, match="bad-seed"):
+            check_seed(2**48, 2**48)

@@ -312,6 +312,12 @@ class TestMakeDataset:
         with pytest.raises(PipelineError, match="bad-split"):
             make_dataset(tmp_path, count=2, size=64, seed=0, inpaint_fraction=-0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan")])
+    def test_rejects_bad_seed_before_creating_the_directory(self, tmp_path, seed):
+        with pytest.raises(PipelineError, match="bad-seed"):
+            make_dataset(tmp_path / "out", count=2, size=32, seed=seed)
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_destination_is_io_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -173,10 +173,14 @@ class TestForward:
         stack = FeatureStack(x, ("a", "b", "c"))
         np.testing.assert_array_equal(forward(params, stack), forward(params, x))
 
-    def test_rejects_bad_resolution(self):
+    @pytest.mark.parametrize("height,width", [(6, 6), (10, 8)])
+    def test_pads_to_a_multiple_of_4_and_crops_back(self, height, width):
         params = init_network(micro_arch(), 0)
-        with pytest.raises(PipelineError, match="bad-resolution"):
-            forward(params, default_rng(0).uniform(size=(3, 6, 6)))
+        x = default_rng(0).uniform(size=(3, height, width))
+        padded = np.pad(x, ((0, 0), (0, -height % 4), (0, -width % 4)), mode="reflect")
+        got = forward(params, x)
+        assert got.shape == (height, width)
+        assert got.tobytes() == np.ascontiguousarray(forward(params, padded)[:height, :width]).tobytes()
 
     @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_only", "vit_cnn"])
     def test_rejects_bad_pad_mode(self, variant):
@@ -254,6 +258,18 @@ class TestBackward:
         expected = ((probs.data - target) / target.size).sum()
         assert params["head.b"].grad[0] == pytest.approx(expected, rel=1e-10)
 
+    def test_padded_pixels_send_no_gradient(self):
+        # at 10x10 the network runs on a 12x12 reflect-padded stack; the head
+        # bias identity holds over the 100 real pixels alone
+        params = init_network(micro_arch(), 7)
+        x = micro_input(21, 10, 10)
+        target = (default_rng(22).uniform(size=(10, 10)) > 0.5).astype(np.float64)
+        _, probs = forward_graph(params, x)
+        assert probs.data.shape == (10, 10)
+        ad.backward(bce_loss_graph(probs, target))
+        expected = ((probs.data - target) / target.size).sum()
+        assert params["head.b"].grad[0] == pytest.approx(expected, rel=1e-10)
+
     def test_unused_parameter_has_no_gradient(self):
         params = init_network(micro_arch(), 0)
         used = params["head.w"]
@@ -262,6 +278,11 @@ class TestBackward:
         ad.backward(loss)
         assert used.grad is not None
         assert ignored.grad is None
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_gradcheck_rejects_bad_seed(self, seed):
+        with pytest.raises(PipelineError, match="bad-seed"):
+            finite_difference_check(seed=seed)
 
     def test_micro_gradcheck_passes(self):
         ok, report = finite_difference_check(seed=0)

@@ -1,9 +1,12 @@
-"""Property tests: byte flips, truncations and insertions of every file the package reads.
+"""Property tests: byte flips, truncations and insertions of every file the package reads,
+and arbitrary perturbation spec strings.
 
 The files are a saved model, a bare tensor container, a PPM frame, a PGM mask
 and a corpus manifest. Every mutated file either loads to a valid result or
 raises ``PipelineError``, and ``tamperloc infer`` on a mutated model or frame
-exits 0 or 2. Examples are derandomized, so the same inputs run every time.
+exits 0 or 2. A spec string parses to a ``PerturbSpec`` with a finite
+parameter or raises ``PipelineError``. Examples are derandomized, so the same
+inputs run every time.
 """
 
 import numpy as np
@@ -26,12 +29,15 @@ from tamperloc.formats import (
     write_tensorfile,
 )
 from tamperloc.fusion import ArchConfig, init_network, micro_arch
+from tamperloc.perturb import KINDS, PerturbSpec, parse_spec
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
-# each example runs the full network on a 32 px frame, about 10 ms
+# each example runs the full network on a 25 px frame, about 6 ms
 CLI_FUZZ = settings(derandomize=True, deadline=None, max_examples=50)
 
-FRAME_SIDE = 32  # the smallest multiple of 4 the texture view's 25 px bank fits
+# the smallest side the texture view's 25 px bank fits (texture.BANK_SIDE); not
+# a multiple of 4, so the infer properties also run the network's padding
+FRAME_SIDE = 25
 
 
 @st.composite
@@ -58,7 +64,7 @@ def mutations(draw, blob: bytes) -> bytes:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Valid inputs in a scratch directory: a micro and a full model, a bare
-    tensor container, a 32 px PPM and PGM, and a two-item 32 px corpus."""
+    tensor container, a 25 px PPM and PGM, and a two-item 25 px corpus."""
     root = tmp_path_factory.mktemp("fuzz")
     save_model(root / "micro.uvlt", init_network(micro_arch(), 5))
     save_model(root / "full.uvlt", init_network(ArchConfig(), 5))
@@ -181,5 +187,24 @@ def test_infer_on_mutated_ppm_exits_0_or_2(files):
         path = files / "mutated_frame.ppm"
         path.write_bytes(blob)
         assert _infer(files, files / "full.uvlt", path) in (EXIT_OK, EXIT_DATA)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", (None, *KINDS))
+def test_perturbation_spec_parses_or_raises(kind):
+    # arbitrary text, or kind:<float> for one kind with NaN and infinities drawn
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    specs = st.text() if kind is None else floats.map(f"{kind}:{{!r}}".format)
+
+    @FUZZ
+    @given(specs)
+    def check(text):
+        try:
+            spec = parse_spec(text)
+        except PipelineError:
+            return
+        assert isinstance(spec, PerturbSpec)
+        assert spec.param is None or np.isfinite(spec.param)
 
     check()

@@ -136,6 +136,12 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="empty-dataset"):
             evaluate(init_network(ArchConfig(), 0), [])
 
+    @pytest.mark.parametrize("perturbation", [None, PerturbSpec("gaussian")], ids=["plain", "gaussian"])
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_rejects_bad_seed(self, perturbation, seed):
+        with pytest.raises(PipelineError, match="bad-seed"):
+            evaluate(init_network(ArchConfig(), 0), items_with_masks(1), perturbation=perturbation, seed=seed)
+
     def test_rejects_malformed_items(self):
         item_id, frame, mask = items_with_masks(1)[0]
         params = init_network(ArchConfig(), 0)

@@ -57,6 +57,9 @@ class TestPerturbSpec:
             ("median", 2.0),
             ("median", 4.0),
             ("median", 17.0),
+            ("median", float("nan")),
+            ("median", float("inf")),
+            ("median", float("-inf")),
             ("none", 1.0),
             ("flip", 1.0),
         ],
