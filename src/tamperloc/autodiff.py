@@ -14,7 +14,8 @@ benchmark's tracer wraps it by name. ``attention`` is one fused op for
 scaled dot-product attention; it works through cache-sized tiles of query
 rows, so its memory grows linearly in the token count, and keeps only each
 row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
-2307.08691). ``conv2d`` likewise works through bands of output rows,
+2307.08691). When a head spans more than one tile, the heads run on one
+worker thread per core, each worker with its own tile in its own core's L2. ``conv2d`` likewise works through bands of output rows,
 building each band's im2col columns channel-major and rebuilding them in the
 backward pass, so beyond its inputs, output and gradients it holds one band
 of columns, not a whole frame of them. Both recompute rather than store, as
@@ -23,6 +24,8 @@ in Rabe & Staats (arXiv 2112.05682).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,9 +35,10 @@ from .errors import PipelineError
 
 LAYER_NORM_EPS = 1e-12
 
-# Score entries per attention tile: 2**17 float64 are 1 MiB, inside a 2 MiB
-# per-core L2. A tile is max(1, ATTENTION_BLOCK // n_keys) query rows: 56 at
-# 2304 tokens (192 px frames), the whole head at 256 tokens (64 px).
+# Score entries per attention tile, per worker: 2**17 float64 are 1 MiB,
+# inside each worker's own 2 MiB per-core L2. A tile is max(1,
+# ATTENTION_BLOCK // n_keys) query rows: 56 at 2304 tokens (192 px frames),
+# the whole head at 256 tokens (64 px).
 ATTENTION_BLOCK = 2**17
 
 # Output pixels per conv2d band. Over the three stage-1 convolutions at 192
@@ -43,6 +47,42 @@ ATTENTION_BLOCK = 2**17
 # ms); at 64 px 1024-8192 timed within noise. 2048 pixels of 52-channel
 # 3x3 columns are 7.3 MiB.
 CONV_BLOCK = 2048
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that share out the heads of an attention call whose heads span
+# more than one tile, one per core the process may run on: min(heads,
+# ATTENTION_WORKERS) of them take part. Numpy releases the GIL in gemm and
+# ufuncs, so they run at once. Whole heads are shared, not tiles, so each
+# worker keeps a whole tile in its own core's L2.
+ATTENTION_WORKERS = _cpus()
+_pool = None  # made on first use; a forked child makes its own
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _share_heads(work, heads: int, workers: int):
+    """Call ``work(head_indices)`` inline for one worker, else on interleaved groups over the pool."""
+    global _pool
+    if workers == 1:
+        work(range(heads))
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="attention")
+    list(_pool.map(work, [range(i, heads, workers) for i in range(workers)]))  # list() re-raises errors
 
 _grad_enabled = True
 
@@ -233,14 +273,18 @@ def attention(q, k, v, scale: float) -> Tensor:
     ``q``, ``k`` and ``v`` are (heads, n, dh) with equal heads and dh; ``k``
     and ``v`` hold the same number of keys. Each head is processed in tiles
     of ``max(1, ATTENTION_BLOCK // n_keys)`` query rows, so a tile of scores
-    fits in a core's L2 cache. A tile takes four elementwise passes over its
+    fits in a core's L2 cache. When a head spans more than one tile, the
+    heads are shared out over min(heads, ``ATTENTION_WORKERS``) threads, one
+    per core, each with its own tile in its own core's L2; every head runs
+    the same ops in the same order either way, so the bytes do not depend on
+    the worker count. A tile takes four elementwise passes over its
     scores (max, subtract, exp, sum) and divides the (rows, dh) output by
     the row sums, never the probabilities. Every row's log-sum-exp is kept,
     so the backward pass rebuilds a tile's probabilities as
     ``exp(scale * q k^T - lse)`` and uses ``rowsum(g * out)`` in place of
     ``rowsum(dP * P)``, as in FlashAttention-2 (Dao, arXiv 2307.08691).
     Beyond the inputs, the output and the gradients, forward and backward
-    hold one tile of scores and heads * n row statistics, never the
+    hold one tile of scores per worker and heads * n row statistics, never the
     O(heads * n^2) score matrix; the tape keeps only the log-sum-exp.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
@@ -256,43 +300,52 @@ def attention(q, k, v, scale: float) -> Tensor:
     heads, n, _ = qd.shape
     rows = max(1, ATTENTION_BLOCK // kd.shape[1])
     tiles = [slice(lo, lo + rows) for lo in range(0, n, rows)]
+    workers = min(heads, ATTENTION_WORKERS) if len(tiles) > 1 else 1
 
     def scores(h, t, buf):
         qs = qd[h, t] * scale
         return qs, np.matmul(qs, kd[h].T, out=buf[: len(qs)])
 
     tile = (min(rows, n), kd.shape[1])
-    buf = np.empty(tile)  # reused by every tile; never kept by the tape
     out = np.empty(qd.shape)
     lse = np.empty((heads, n, 1))
-    for h in range(heads):
-        for t in tiles:
-            _, s = scores(h, t, buf)
-            m = s.max(axis=1, keepdims=True)
-            s -= m
-            np.exp(s, out=s)
-            z = s.sum(axis=1, keepdims=True)
-            np.matmul(s, vd[h], out=out[h, t])
-            out[h, t] /= z
-            lse[h, t] = m + np.log(z)
+
+    def forward_heads(hs):
+        buf = np.empty(tile)  # reused by every tile of this worker; never kept by the tape
+        for h in hs:
+            for t in tiles:
+                _, s = scores(h, t, buf)
+                m = s.max(axis=1, keepdims=True)
+                s -= m
+                np.exp(s, out=s)
+                z = s.sum(axis=1, keepdims=True)
+                np.matmul(s, vd[h], out=out[h, t])
+                out[h, t] /= z
+                lse[h, t] = m + np.log(z)
+
+    _share_heads(forward_heads, heads, workers)
 
     def back(g):
         dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
         rowdot = (g * out).sum(axis=-1, keepdims=True)  # rowsum(dP * P), per query row
-        pbuf, dsbuf = np.empty(tile), np.empty(tile)
-        for h in range(heads):
-            for t in tiles:
-                qs, p = scores(h, t, pbuf)
-                p -= lse[h, t]
-                np.exp(p, out=p)
-                gt = g[h, t]
-                dv[h] += p.T @ gt
-                ds = np.matmul(gt, vd[h].T, out=dsbuf[: len(qs)])
-                ds -= rowdot[h, t]
-                ds *= p
-                np.matmul(ds, kd[h], out=dq[h, t])
-                dq[h, t] *= scale
-                dk[h] += ds.T @ qs
+
+        def backward_heads(hs):
+            pbuf, dsbuf = np.empty(tile), np.empty(tile)
+            for h in hs:
+                for t in tiles:
+                    qs, p = scores(h, t, pbuf)
+                    p -= lse[h, t]
+                    np.exp(p, out=p)
+                    gt = g[h, t]
+                    dv[h] += p.T @ gt
+                    ds = np.matmul(gt, vd[h].T, out=dsbuf[: len(qs)])
+                    ds -= rowdot[h, t]
+                    ds *= p
+                    np.matmul(ds, kd[h], out=dq[h, t])
+                    dq[h, t] *= scale
+                    dk[h] += ds.T @ qs
+
+        _share_heads(backward_heads, heads, workers)
         _accumulate(q, dq)
         _accumulate(k, dk)
         _accumulate(v, dv)

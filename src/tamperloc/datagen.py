@@ -23,6 +23,7 @@ from .core import Frame, check_seed
 from .errors import PipelineError
 from .formats import read_pgm, read_ppm, write_pgm, write_ppm
 from .perturb import gaussian_blur, quantize_like_jpeg
+from .texture import BANK_SIDE
 
 TEXTURE_KINDS = ("grating", "value_noise", "gradient", "checker")
 REGION_SHAPES = ("ellipse", "rectangle", "polygon")
@@ -397,6 +398,8 @@ def make_dataset(
         raise PipelineError("bad-split", f"train fraction {train_fraction} outside [0, 1]")
     if not (0.0 <= inpaint_fraction <= 1.0):
         raise PipelineError("bad-split", f"inpaint fraction {inpaint_fraction} outside [0, 1]")
+    if size < BANK_SIDE:
+        raise PipelineError("bad-size", f"frames need size >= {BANK_SIDE} (the texture view's bank), got {size}")
     seed = check_seed(seed)
 
     n_train = int(round(count * train_fraction))

@@ -265,9 +265,9 @@ def _forward_graph(
     check can reject points where a kink sits inside the probe interval.
     """
     cfg = p.arch
-    c, h, w = x.shape
-    if c != cfg.input_channels:
-        raise PipelineError("shape-mismatch", f"{c} input channels, expected {cfg.input_channels}")
+    if x.ndim != 3 or x.shape[0] != cfg.input_channels:
+        raise PipelineError("shape-mismatch", f"stack of shape {x.shape}, expected ({cfg.input_channels}, H, W)")
+    h, w = x.shape[1:]
     if h % 4 or w % 4:
         x = np.pad(x, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="reflect")
 

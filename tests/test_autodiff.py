@@ -1,4 +1,7 @@
+import multiprocessing
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -60,6 +63,27 @@ def dense_attention(q, k, v, scale):
 def qkv(seed, heads, n, dh):
     rng = default_rng(seed)
     return [rng.normal(size=(heads, n, dh)) * 2.0 for _ in range(3)]
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A two-thread pool that counts the tasks it is given."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.tasks = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture
+def two_thread_pool(monkeypatch):
+    """Two real threads for attention, whatever this machine's core count."""
+    pool = CountingPool()
+    monkeypatch.setattr(ad, "_pool", pool)
+    yield pool
+    pool.shutdown()
 
 
 class TestForwardValues:
@@ -130,10 +154,13 @@ class TestForwardValues:
         got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 8**-0.5).data
         np.testing.assert_allclose(got, dense_attention(q, k, v, 8**-0.5), rtol=1e-12, atol=1e-12)
 
-    def test_attention_memory_is_bounded_by_one_tile(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_attention_memory_is_bounded_by_one_tile_per_worker(self, monkeypatch, two_thread_pool, workers):
         # no-grad, as one head split of a 192 px frame: beyond the output and
-        # the row statistics, one tile of scores; 128 query rows of all four
-        # heads would be 9.4 MB on their own
+        # the row statistics, one tile of scores and about 72 KB of row-sized
+        # temporaries per worker (numpy buffers the broadcast `s -= m`); 128
+        # query rows of all four heads would be 9.4 MB, dense scores 170 MB
+        monkeypatch.setattr(ad, "ATTENTION_WORKERS", workers)
         heads, n, dh = 4, 2304, 16
         q, k, v = (Tensor(a) for a in qkv(6, heads, n, dh))
         tile = ad.ATTENTION_BLOCK // n * n * 8
@@ -144,7 +171,7 @@ class TestForwardValues:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < tile + out.data.nbytes + heads * n * 8 + (128 << 10)
+        assert peak < workers * (tile + (64 << 10)) + out.data.nbytes + heads * n * 8 + (64 << 10)
 
     def test_attention_tape_keeps_only_the_log_sum_exp(self):
         heads, n, dh = 4, 600, 16
@@ -438,6 +465,68 @@ class TestBackward:
         loss = ad.mul(ad.mean_all(ad.add(ad.mul(y, log_p), ad.mul(1.0 - y, log_not_p))), -1.0)
         ad.backward(loss)
         np.testing.assert_allclose(z.grad, (p.data - y) / y.size, rtol=1e-12)
+
+
+class TestAttentionWorkers:
+    @staticmethod
+    def output_and_gradient_bytes(heads, n, dh, seed):
+        q, k, v = (Tensor(a, requires_grad=True) for a in qkv(seed, heads, n, dh))
+        out = ad.attention(q, k, v, dh**-0.5)
+        ad.backward(weighted_mean(out, seed))
+        return [a.tobytes() for a in (out.data, q.grad, k.grad, v.grad)]
+
+    @pytest.mark.parametrize(
+        "heads, n, block",
+        [(3, 600, None), (4, 50, 16 * 50), (2, 37, 5 * 37)],
+        ids=["3-heads-default-block", "4-heads-remainder", "2-heads-remainder"],
+    )
+    def test_one_and_two_workers_give_the_same_bytes(self, monkeypatch, two_thread_pool, heads, n, block):
+        # tiles of 218, 218 and 164 rows at the default block; 16, 16, 16
+        # and 2 rows; 5 rows and a 2-row remainder
+        if block is not None:
+            monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
+        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 1)
+        inline = self.output_and_gradient_bytes(heads, n, 8, seed=n)
+        assert two_thread_pool.tasks == 0
+        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
+        threaded = self.output_and_gradient_bytes(heads, n, 8, seed=n)
+        assert two_thread_pool.tasks == 4  # two head groups forward, two backward
+        assert threaded == inline
+
+    @pytest.mark.parametrize("heads, n", [(4, 256), (1, 600)], ids=["one-tile-per-head", "one-head"])
+    def test_inline_when_there_is_nothing_to_share(self, monkeypatch, heads, n):
+        class RefusingPool:
+            def submit(self, *args, **kwargs):
+                raise AssertionError("attention used the pool")
+
+            map = submit
+
+        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
+        monkeypatch.setattr(ad, "_pool", RefusingPool())
+        assert len(self.output_and_gradient_bytes(heads, n, 8, seed=1)) == 4
+
+    def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not survive a fork; a child that
+        # reused the pool object would wait on them for ever
+        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
+        monkeypatch.setattr(ad, "_pool", None)
+        expected = self.output_and_gradient_bytes(3, 600, 8, seed=2)
+        pool = ad._pool
+        assert pool is not None
+        try:
+            child = multiprocessing.get_context("fork").Process(target=self.exit_0_if_bytes_are, args=(expected,))
+            child.start()
+            child.join(60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+            assert child.exitcode == 0
+        finally:
+            pool.shutdown()
+
+    @classmethod
+    def exit_0_if_bytes_are(cls, expected):
+        sys.exit(0 if cls.output_and_gradient_bytes(3, 600, 8, seed=2) == expected else 1)
 
 
 class TestNoGrad:

@@ -119,6 +119,14 @@ class TestDataErrors:
         assert err.count("\n") == 1 and err.startswith("error:") and "bad-seed" in err
         assert not out.exists()
 
+    def test_synth_below_the_texture_bank_side_writes_nothing(self, tmp_path, capsys):
+        # 20 px frames would be written, then refused by every view-building command
+        out = tmp_path / "d"
+        assert cli_main(["synth", "--out", str(out), "--n", "2", "--size", "20", "--seed", "0"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "bad-size" in err
+        assert not out.exists()
+
     def test_train_on_missing_corpus(self, tmp_path):
         code = cli_main(["train", "--data", str(tmp_path / "no"), "--out", str(tmp_path / "m.uvlt")])
         assert code == EXIT_DATA

@@ -29,6 +29,7 @@ from tamperloc.datagen import (
 from tamperloc.errors import PipelineError
 from tamperloc.frequency import frequency_features
 from tamperloc.pixel import srm_features
+from tamperloc.texture import BANK_SIDE
 
 
 def null_splice_spec(seed: int, sigma: float = 0.01, quality: int = 100, region: "Region | None" = None) -> SpliceSpec:
@@ -316,6 +317,13 @@ class TestMakeDataset:
     def test_rejects_bad_seed_before_creating_the_directory(self, tmp_path, seed):
         with pytest.raises(PipelineError, match="bad-seed"):
             make_dataset(tmp_path / "out", count=2, size=32, seed=seed)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("size", [16, 24])
+    def test_rejects_sides_below_the_texture_bank_before_creating_the_directory(self, tmp_path, size):
+        assert size < BANK_SIDE
+        with pytest.raises(PipelineError, match="bad-size"):
+            make_dataset(tmp_path / "out", count=2, size=size, seed=0)
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_destination_is_io_error(self, tmp_path):

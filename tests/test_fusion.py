@@ -193,6 +193,13 @@ class TestForward:
         with pytest.raises(PipelineError, match="shape-mismatch"):
             forward(params, default_rng(0).uniform(size=(4, 8, 8)))
 
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 3, 8, 8)], ids=["2d", "4d"])
+    def test_rejects_a_stack_that_is_not_3d(self, shape):
+        params = init_network(micro_arch(), 0)
+        for run in (forward, forward_graph):
+            with pytest.raises(PipelineError, match="shape-mismatch"):
+                run(params, np.zeros(shape))
+
     def test_prediction_constant_on_4x4_blocks(self):
         params = init_network(micro_arch(), 4)
         out = forward(params, micro_input(11))
