@@ -15,11 +15,12 @@ scaled dot-product attention; it works through cache-sized tiles of query
 rows, so its memory grows linearly in the token count, and keeps only each
 row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
 2307.08691). When a head spans more than one tile, the heads run on one
-worker thread per core, each worker with its own tile in its own core's L2. ``conv2d`` likewise works through bands of output rows,
-building each band's im2col columns channel-major and rebuilding them in the
-backward pass, so beyond its inputs, output and gradients it holds one band
-of columns, not a whole frame of them. Both recompute rather than store, as
-in Rabe & Staats (arXiv 2112.05682).
+worker thread per core, each worker with its own tile in its own core's L2.
+``conv2d`` likewise works through bands of output rows, building each band's
+im2col columns channel-major and rebuilding them in the backward pass, so
+beyond its inputs, output and gradients it holds one band of columns, not a
+whole frame of them. Both recompute rather than store, as in Rabe & Staats
+(arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ if hasattr(os, "register_at_fork"):
 
 
 def _share_heads(work, heads: int, workers: int):
-    """Call ``work(head_indices)`` inline for one worker, else on interleaved groups over the pool."""
+    """Call ``work`` on every head index: inline for one worker, else on
+    ``workers`` interleaved groups of heads over the pool."""
     global _pool
     if workers == 1:
         work(range(heads))
@@ -83,6 +85,7 @@ def _share_heads(work, heads: int, workers: int):
     if _pool is None:
         _pool = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="attention")
     list(_pool.map(work, [range(i, heads, workers) for i in range(workers)]))  # list() re-raises errors
+
 
 _grad_enabled = True
 
@@ -284,8 +287,8 @@ def attention(q, k, v, scale: float) -> Tensor:
     ``exp(scale * q k^T - lse)`` and uses ``rowsum(g * out)`` in place of
     ``rowsum(dP * P)``, as in FlashAttention-2 (Dao, arXiv 2307.08691).
     Beyond the inputs, the output and the gradients, forward and backward
-    hold one tile of scores per worker and heads * n row statistics, never the
-    O(heads * n^2) score matrix; the tape keeps only the log-sum-exp.
+    hold one tile of scores per worker and heads * n row statistics, never
+    the O(heads * n^2) score matrix; the tape keeps only the log-sum-exp.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     qd, kd, vd = q.data, k.data, v.data

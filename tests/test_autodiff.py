@@ -154,16 +154,10 @@ class TestForwardValues:
         got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 8**-0.5).data
         np.testing.assert_allclose(got, dense_attention(q, k, v, 8**-0.5), rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_attention_memory_is_bounded_by_one_tile_per_worker(self, monkeypatch, two_thread_pool, workers):
-        # no-grad, as one head split of a 192 px frame: beyond the output and
-        # the row statistics, one tile of scores and about 72 KB of row-sized
-        # temporaries per worker (numpy buffers the broadcast `s -= m`); 128
-        # query rows of all four heads would be 9.4 MB, dense scores 170 MB
-        monkeypatch.setattr(ad, "ATTENTION_WORKERS", workers)
-        heads, n, dh = 4, 2304, 16
+    @staticmethod
+    def attention_peak(heads, n, dh):
+        """tracemalloc peak of a no-grad attention call, and its output bytes."""
         q, k, v = (Tensor(a) for a in qkv(6, heads, n, dh))
-        tile = ad.ATTENTION_BLOCK // n * n * 8
         tracemalloc.start()
         try:
             with ad.no_grad():
@@ -171,7 +165,28 @@ class TestForwardValues:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < workers * (tile + (64 << 10)) + out.data.nbytes + heads * n * 8 + (64 << 10)
+        return peak, out.data.nbytes
+
+    def test_attention_memory_is_bounded_by_one_tile(self, monkeypatch):
+        # no-grad, as one head split of a 192 px frame, on one worker: beyond
+        # the output and the row statistics, one tile of scores; 128 query
+        # rows of all four heads would be 9.4 MB on their own
+        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 1)
+        heads, n = 4, 2304
+        peak, out_bytes = self.attention_peak(heads, n, 16)
+        tile = ad.ATTENTION_BLOCK // n * n * 8
+        assert peak < tile + out_bytes + heads * n * 8 + (128 << 10)
+
+    def test_attention_memory_is_bounded_by_one_tile_per_worker(self, monkeypatch, two_thread_pool):
+        # each worker holds a tile and about 72 KB of row-sized temporaries
+        # (numpy buffers the broadcast `s -= m`); the dense scores would be
+        # 170 MB
+        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
+        heads, n = 4, 2304
+        peak, out_bytes = self.attention_peak(heads, n, 16)
+        tile = ad.ATTENTION_BLOCK // n * n * 8
+        assert two_thread_pool.tasks == 2
+        assert peak < 2 * (tile + (64 << 10)) + out_bytes + heads * n * 8 + (64 << 10)
 
     def test_attention_tape_keeps_only_the_log_sum_exp(self):
         heads, n, dh = 4, 600, 16
@@ -503,7 +518,7 @@ class TestAttentionWorkers:
 
         monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
         monkeypatch.setattr(ad, "_pool", RefusingPool())
-        assert len(self.output_and_gradient_bytes(heads, n, 8, seed=1)) == 4
+        self.output_and_gradient_bytes(heads, n, 8, seed=1)
 
     def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
         # the parent's pool threads do not survive a fork; a child that
