@@ -61,30 +61,19 @@ def _cpus() -> int:
 # more than one tile, one per core the process may run on: min(heads,
 # ATTENTION_WORKERS) of them take part. Numpy releases the GIL in gemm and
 # ufuncs, so they run at once. Whole heads are shared, not tiles, so each
-# worker keeps a whole tile in its own core's L2.
+# worker keeps a whole tile in its own core's L2. Each call starts its own
+# threads.
 ATTENTION_WORKERS = _cpus()
-_pool = None  # made on first use; a forked child makes its own
-
-
-def _forget_pool():
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _share_heads(work, heads: int, workers: int):
     """Call ``work`` on every head index: inline for one worker, else on
-    ``workers`` interleaved groups of heads over the pool."""
-    global _pool
+    ``workers`` interleaved groups of heads, each on a thread of its own."""
     if workers == 1:
         work(range(heads))
         return
-    if _pool is None:
-        _pool = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="attention")
-    list(_pool.map(work, [range(i, heads, workers) for i in range(workers)]))  # list() re-raises errors
+    with ThreadPoolExecutor(workers, thread_name_prefix="attention") as pool:
+        list(pool.map(work, [range(i, heads, workers) for i in range(workers)]))  # list() re-raises errors
 
 
 _grad_enabled = True
@@ -303,6 +292,8 @@ def attention(q, k, v, scale: float) -> Tensor:
     heads, n, _ = qd.shape
     rows = max(1, ATTENTION_BLOCK // kd.shape[1])
     tiles = [slice(lo, lo + rows) for lo in range(0, n, rows)]
+    # a head of one tile is too little work to share: on two cores, two
+    # workers made 64 px frames (256 tokens) 12-14% slower to infer and train
     workers = min(heads, ATTENTION_WORKERS) if len(tiles) > 1 else 1
 
     def scores(h, t, buf):

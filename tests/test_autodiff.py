@@ -1,5 +1,3 @@
-import multiprocessing
-import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -65,25 +63,18 @@ def qkv(seed, heads, n, dh):
     return [rng.normal(size=(heads, n, dh)) * 2.0 for _ in range(3)]
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A two-thread pool that counts the tasks it is given."""
-
-    def __init__(self):
-        super().__init__(2)
-        self.tasks = 0
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.tasks += 1
-        return super().submit(fn, *args, **kwargs)
-
-
 @pytest.fixture
-def two_thread_pool(monkeypatch):
-    """Two real threads for attention, whatever this machine's core count."""
-    pool = CountingPool()
-    monkeypatch.setattr(ad, "_pool", pool)
-    yield pool
-    pool.shutdown()
+def pool_tasks(monkeypatch):
+    """The tasks attention gives its thread pools, in order."""
+    tasks = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            tasks.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+    return tasks
 
 
 class TestForwardValues:
@@ -177,15 +168,15 @@ class TestForwardValues:
         tile = ad.ATTENTION_BLOCK // n * n * 8
         assert peak < tile + out_bytes + heads * n * 8 + (128 << 10)
 
-    def test_attention_memory_is_bounded_by_one_tile_per_worker(self, monkeypatch, two_thread_pool):
-        # each worker holds a tile and about 72 KB of row-sized temporaries
-        # (numpy buffers the broadcast `s -= m`); the dense scores would be
-        # 170 MB
+    def test_attention_memory_is_bounded_by_one_tile_per_worker(self, monkeypatch, pool_tasks):
+        # each worker holds a tile and about 72 KB of row-sized temporaries,
+        # 54 KiB of them the three n-element buffers numpy's iterator makes
+        # for the broadcast `s -= m`; the dense scores would be 170 MB
         monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
         heads, n = 4, 2304
         peak, out_bytes = self.attention_peak(heads, n, 16)
         tile = ad.ATTENTION_BLOCK // n * n * 8
-        assert two_thread_pool.tasks == 2
+        assert len(pool_tasks) == 2
         assert peak < 2 * (tile + (64 << 10)) + out_bytes + heads * n * 8 + (64 << 10)
 
     def test_attention_tape_keeps_only_the_log_sum_exp(self):
@@ -495,53 +486,27 @@ class TestAttentionWorkers:
         [(3, 600, None), (4, 50, 16 * 50), (2, 37, 5 * 37)],
         ids=["3-heads-default-block", "4-heads-remainder", "2-heads-remainder"],
     )
-    def test_one_and_two_workers_give_the_same_bytes(self, monkeypatch, two_thread_pool, heads, n, block):
+    def test_one_and_two_workers_give_the_same_bytes(self, monkeypatch, pool_tasks, heads, n, block):
         # tiles of 218, 218 and 164 rows at the default block; 16, 16, 16
         # and 2 rows; 5 rows and a 2-row remainder
         if block is not None:
             monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
         monkeypatch.setattr(ad, "ATTENTION_WORKERS", 1)
         inline = self.output_and_gradient_bytes(heads, n, 8, seed=n)
-        assert two_thread_pool.tasks == 0
+        assert len(pool_tasks) == 0
         monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
         threaded = self.output_and_gradient_bytes(heads, n, 8, seed=n)
-        assert two_thread_pool.tasks == 4  # two head groups forward, two backward
+        assert len(pool_tasks) == 4  # two head groups forward, two backward
         assert threaded == inline
 
     @pytest.mark.parametrize("heads, n", [(4, 256), (1, 600)], ids=["one-tile-per-head", "one-head"])
     def test_inline_when_there_is_nothing_to_share(self, monkeypatch, heads, n):
-        class RefusingPool:
-            def submit(self, *args, **kwargs):
-                raise AssertionError("attention used the pool")
-
-            map = submit
+        def refuse(*args, **kwargs):
+            raise AssertionError("attention started a thread pool")
 
         monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
-        monkeypatch.setattr(ad, "_pool", RefusingPool())
+        monkeypatch.setattr(ad, "ThreadPoolExecutor", refuse)
         self.output_and_gradient_bytes(heads, n, 8, seed=1)
-
-    def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
-        # the parent's pool threads do not survive a fork; a child that
-        # reused the pool object would wait on them for ever
-        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
-        monkeypatch.setattr(ad, "_pool", None)
-        expected = self.output_and_gradient_bytes(3, 600, 8, seed=2)
-        pool = ad._pool
-        assert pool is not None
-        try:
-            child = multiprocessing.get_context("fork").Process(target=self.exit_0_if_bytes_are, args=(expected,))
-            child.start()
-            child.join(60)
-            if child.is_alive():
-                child.kill()
-                child.join()
-            assert child.exitcode == 0
-        finally:
-            pool.shutdown()
-
-    @classmethod
-    def exit_0_if_bytes_are(cls, expected):
-        sys.exit(0 if cls.output_and_gradient_bytes(3, 600, 8, seed=2) == expected else 1)
 
 
 class TestNoGrad:
