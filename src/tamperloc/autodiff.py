@@ -15,7 +15,8 @@ scaled dot-product attention; it works through cache-sized tiles of query
 rows, so its memory grows linearly in the token count, and keeps only each
 row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
 2307.08691). When a head spans more than one tile, the heads run on one
-worker thread per core, each worker with its own tile in its own core's L2.
+worker thread per core that BLAS leaves free, each worker with its own tile
+in its own core's L2.
 ``conv2d`` likewise works through bands of output rows, building each band's
 im2col columns channel-major and rebuilding them in the backward pass, so
 beyond its inputs, output and gradients it holds one band of columns, not a
@@ -57,13 +58,26 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _workers(cpus: int, environ) -> int:
+    """One worker per ``cpus`` // BLAS threads: the count OpenBLAS takes from
+    ``environ`` when it loads (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS);
+    unset, BLAS runs a thread per core and no core is left over."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
 # Threads that share out the heads of an attention call whose heads span
-# more than one tile, one per core the process may run on: min(heads,
-# ATTENTION_WORKERS) of them take part. Numpy releases the GIL in gemm and
-# ufuncs, so they run at once. Whole heads are shared, not tiles, so each
-# worker keeps a whole tile in its own core's L2. Each call starts its own
-# threads.
-ATTENTION_WORKERS = _cpus()
+# more than one tile: min(heads, ATTENTION_WORKERS) of them take part.
+# Numpy releases the GIL in gemm and ufuncs, so they run at once. Whole
+# heads are shared, not tiles, so each worker keeps a whole tile in its own
+# core's L2. Each call starts its own threads. A worker needs cores that
+# BLAS leaves free: on two cores with BLAS at its default two threads, two
+# workers made 192 px frames 29% slower; with one BLAS thread they made
+# them 25% faster.
+ATTENTION_WORKERS = _workers(_cpus(), os.environ)
 
 
 def _share_heads(work, heads: int, workers: int):
@@ -267,14 +281,15 @@ def attention(q, k, v, scale: float) -> Tensor:
     of ``max(1, ATTENTION_BLOCK // n_keys)`` query rows, so a tile of scores
     fits in a core's L2 cache. When a head spans more than one tile, the
     heads are shared out over min(heads, ``ATTENTION_WORKERS``) threads, one
-    per core, each with its own tile in its own core's L2; every head runs
-    the same ops in the same order either way, so the bytes do not depend on
-    the worker count. A tile takes four elementwise passes over its
-    scores (max, subtract, exp, sum) and divides the (rows, dh) output by
-    the row sums, never the probabilities. Every row's log-sum-exp is kept,
-    so the backward pass rebuilds a tile's probabilities as
-    ``exp(scale * q k^T - lse)`` and uses ``rowsum(g * out)`` in place of
-    ``rowsum(dP * P)``, as in FlashAttention-2 (Dao, arXiv 2307.08691).
+    per core that BLAS leaves free, each with its own tile in its own core's
+    L2; every head runs the same ops in the same order either way, so the
+    bytes do not depend on the worker count. A tile takes four elementwise
+    passes over its scores (max, subtract, exp, sum) and divides the
+    (rows, dh) output by the row sums, never the probabilities. Every row's
+    log-sum-exp is kept, so the backward pass rebuilds a tile's
+    probabilities as ``exp(scale * q k^T - lse)`` and uses
+    ``rowsum(g * out)`` in place of ``rowsum(dP * P)``, as in
+    FlashAttention-2 (Dao, arXiv 2307.08691).
     Beyond the inputs, the output and the gradients, forward and backward
     hold one tile of scores per worker and heads * n row statistics, never
     the O(heads * n^2) score matrix; the tape keeps only the log-sum-exp.

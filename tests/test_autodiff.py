@@ -499,6 +499,23 @@ class TestAttentionWorkers:
         assert len(pool_tasks) == 4  # two head groups forward, two backward
         assert threaded == inline
 
+    @pytest.mark.parametrize(
+        "environ, workers",
+        [
+            ({}, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+            ({"OMP_NUM_THREADS": " 2 "}, 2),
+            ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "two"}, 1),
+        ],
+    )
+    def test_one_worker_per_core_that_blas_leaves_free(self, environ, workers):
+        # four cores; OpenBLAS reads OPENBLAS_NUM_THREADS, then
+        # OMP_NUM_THREADS, and without either runs a thread per core
+        assert ad._workers(4, environ) == workers
+
     @pytest.mark.parametrize("heads, n", [(4, 256), (1, 600)], ids=["one-tile-per-head", "one-head"])
     def test_inline_when_there_is_nothing_to_share(self, monkeypatch, heads, n):
         def refuse(*args, **kwargs):
