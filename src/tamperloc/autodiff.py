@@ -16,12 +16,11 @@ rows, so its memory grows linearly in the token count, and keeps only each
 row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
 2307.08691). When a head spans more than one tile, the heads run on one
 worker thread per core that BLAS leaves free, each worker with its own tile
-in its own core's L2.
-``conv2d`` likewise works through bands of output rows, building each band's
-im2col columns channel-major and rebuilding them in the backward pass, so
-beyond its inputs, output and gradients it holds one band of columns, not a
-whole frame of them. Both recompute rather than store, as in Rabe & Staats
-(arXiv 2112.05682).
+in its own core's L2. ``conv2d`` likewise works through bands of output
+rows, building each band's im2col columns channel-major and rebuilding them
+in the backward pass, so beyond its inputs, output and gradients it holds
+one band of columns, not a whole frame of them. Both recompute rather than
+store, as in Rabe & Staats (arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -59,9 +58,9 @@ def _cpus() -> int:
 
 
 def _workers(cpus: int, environ) -> int:
-    """One worker per ``cpus`` // BLAS threads: the count OpenBLAS takes from
-    ``environ`` when it loads (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS);
-    unset, BLAS runs a thread per core and no core is left over."""
+    """``cpus`` // the BLAS thread count OpenBLAS takes from ``environ`` when
+    it loads (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS), at least 1. With
+    neither set, BLAS runs a thread per core and leaves none for a worker."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
@@ -308,7 +307,7 @@ def attention(q, k, v, scale: float) -> Tensor:
     rows = max(1, ATTENTION_BLOCK // kd.shape[1])
     tiles = [slice(lo, lo + rows) for lo in range(0, n, rows)]
     # a head of one tile is too little work to share: on two cores, two
-    # workers made 64 px frames (256 tokens) 12-14% slower to infer and train
+    # workers made 64 px frames (256 tokens) 12-13% slower to infer and train
     workers = min(heads, ATTENTION_WORKERS) if len(tiles) > 1 else 1
 
     def scores(h, t, buf):
