@@ -4,9 +4,16 @@ A ``Tensor`` wraps a float64 array. Every primitive op records its parents and
 a closure that routes the output gradient back to them; ``backward`` replays
 the tape in reverse topological order. Gradients are only materialised for
 tensors that require them (directly or through a parent), so feeding constant
-inputs is cheap. Inside ``with no_grad():`` ops record nothing at all, so an
-inference pass keeps no tape and each intermediate array is freed as soon as
-no later op needs it.
+inputs is cheap. Inside ``with no_grad():`` ops run by that thread record
+nothing at all, so an inference pass keeps no tape and each intermediate
+array is freed as soon as no later op needs it.
+
+``thread_policy`` is the program's one thread policy: it pins numpy's
+OpenBLAS to one thread for its block and lets ``share`` spread coarse work
+over one worker per core, at one level at a time. ``train`` shares a
+minibatch's samples, ``evaluate`` its frames, and ``predict`` on a single
+large frame the attention heads. Each worker builds its own tape, so tapes
+never share a ``Tensor``.
 
 The op set is deliberately small: what the fusion network needs, plus
 ``softmax``, which no model code calls; it is kept only because the
@@ -14,18 +21,23 @@ benchmark's tracer wraps it by name. ``attention`` is one fused op for
 scaled dot-product attention; it works through cache-sized tiles of query
 rows, so its memory grows linearly in the token count, and keeps only each
 row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
-2307.08691). When a head spans more than one tile, the heads run on one
-worker thread per core that BLAS leaves free, each worker with its own tile
-in its own core's L2. ``conv2d`` likewise works through bands of output
-rows, building each band's im2col columns channel-major and rebuilding them
-in the backward pass, so beyond its inputs, output and gradients it holds
-one band of columns, not a whole frame of them. Both recompute rather than
-store, as in Rabe & Staats (arXiv 2112.05682).
+2307.08691). When a head spans more than one tile, the heads may run on one
+worker per core, each worker with its own tile in its own core's L2.
+``conv2d`` likewise works through bands of output rows, building each band's
+im2col columns channel-major and rebuilding them in the backward pass, so
+beyond its inputs, output and gradients it holds one band of columns, not a
+whole frame of them. Both recompute rather than store, as in Rabe & Staats
+(arXiv 2112.05682).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -50,46 +62,133 @@ ATTENTION_BLOCK = 2**17
 CONV_BLOCK = 2048
 
 
-def _cpus() -> int:
+# The cgroup v2 CPU quota of this process's group, read only: "max 100000",
+# or "<quota> <period>" in microseconds.
+CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def cores() -> int:
+    """Cores this process may run on: its CPU affinity (``os.cpu_count()``
+    where there is no affinity call), capped by the cgroup ``cpu.max`` quota
+    at ceil(quota / period). ``max`` or a missing file sets no cap."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        n = len(os.sched_getaffinity(0))
+    except AttributeError:
+        n = os.cpu_count() or 1
+    try:
+        with open(CPU_MAX, encoding="ascii") as fh:
+            quota, period = fh.read().split()
+        return max(1, min(n, math.ceil(int(quota) / int(period))))
+    except (OSError, ValueError, ZeroDivisionError):  # no file, "max", or not cgroup v2's format
+        return n
 
 
-def _workers(cpus: int, environ) -> int:
-    """``cpus`` // the BLAS thread count OpenBLAS takes from ``environ`` when
-    it loads (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS), at least 1. With
-    neither set, BLAS runs a thread per core and leaves none for a worker."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles in ``numpy.libs``, or None where there is no such library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")
+    for path in glob.glob(libs):
+        try:
+            lib = ctypes.CDLL(path)  # numpy loaded it already: the same handle
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
-# Threads that share out the heads of an attention call whose heads span
-# more than one tile: min(heads, ATTENTION_WORKERS) of them take part.
-# Numpy releases the GIL in gemm and ufuncs, so they run at once. Whole
-# heads are shared, not tiles, so each worker keeps a whole tile in its own
-# core's L2. Each call starts its own threads. A worker needs cores that
-# BLAS leaves free: on two cores with BLAS at its default two threads, two
-# workers made 192 px frames 29% slower; with one BLAS thread they made
-# them 25% faster.
-ATTENTION_WORKERS = _workers(_cpus(), os.environ)
+class _ThreadState(threading.local):
+    grad_enabled = True  # cleared by no_grad, for its own thread only
+    workers = 0  # threads share() may use; 0 outside a thread policy
 
 
-def _share_heads(work, heads: int, workers: int):
-    """Call ``work`` on every head index: inline for one worker, else on
-    ``workers`` interleaved groups of heads, each on a thread of its own."""
-    if workers == 1:
-        work(range(heads))
+_state = _ThreadState()
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved = 1
+
+
+@contextmanager
+def thread_policy():
+    """The program's one thread policy, for the block; yields the number of
+    threads ``share`` may use in it. Nesting is allowed.
+
+    While any thread is inside a policy, numpy's OpenBLAS runs one thread;
+    the first to enter saves the old count and the last to leave restores
+    it, on an exception too. The thread that enters may ``share`` work over
+    one worker per core; the workers, and a block nested in them, share
+    nothing more, so work is shared at one level at a time. On two cores,
+    two sample workers each with one BLAS thread took a 64 px training step
+    (batch 4) from 208 to 125 ms against samples one after another on one
+    BLAS thread, while two workers each calling a two-thread BLAS made
+    192 px frames 29% slower than inline attention.
+
+    Without the OpenBLAS symbols the count cannot be set. OpenBLAS then
+    keeps the count it read from OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
+    when it loaded, with a thread per core when neither is set; the block
+    gets the cores that count leaves free, at least one.
+    """
+    global _blas_holders, _blas_saved
+    if _state.workers:
+        yield _state.workers
         return
-    with ThreadPoolExecutor(workers, thread_name_prefix="attention") as pool:
-        list(pool.map(work, [range(i, heads, workers) for i in range(workers)]))  # list() re-raises errors
+    blas = _openblas()
+    workers = cores()
+    if blas is None:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            value = os.environ.get(var, "").strip()
+            if value.isdigit() and int(value) > 0:
+                workers = max(1, workers // int(value))
+                break
+        else:
+            workers = 1
+    else:
+        with _blas_lock:
+            if _blas_holders == 0:
+                _blas_saved = blas[0]()
+                blas[1](1)
+            _blas_holders += 1
+    _state.workers = workers
+    try:
+        yield workers
+    finally:
+        _state.workers = 0
+        if blas is not None:
+            with _blas_lock:
+                _blas_holders -= 1
+                if _blas_holders == 0:
+                    blas[1](_blas_saved)
 
 
-_grad_enabled = True
+def share(work, jobs) -> list:
+    """``[work(job) for job in jobs]``, in job order.
+
+    Inside a ``thread_policy`` block, the jobs run on min(jobs, workers)
+    threads started for this call; anywhere else, and in those threads, they
+    run inline. The first error in job order reaches the caller, and jobs
+    not yet started are dropped. Each worker records a tape exactly when
+    the caller would.
+    """
+    jobs = list(jobs)
+    n = min(len(jobs), _state.workers)
+    if n <= 1:
+        return [work(job) for job in jobs]
+    grad_enabled = _state.grad_enabled
+
+    def run(job):
+        _state.workers, _state.grad_enabled = 1, grad_enabled
+        return work(job)
+
+    pool = ThreadPoolExecutor(n, thread_name_prefix="tamperloc")
+    try:
+        return list(pool.map(run, jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class Tensor:
@@ -112,23 +211,23 @@ class Tensor:
 
 @contextmanager
 def no_grad():
-    """Record no tape for ops run inside the block (nesting is allowed).
+    """Record no tape for ops this thread runs inside the block (nesting is
+    allowed); other threads keep recording.
 
     Outputs never require gradients, so ``backward`` on them raises
     ``no-tape``; parameters keep their ``requires_grad`` flag and ``grad``.
     """
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
+    saved = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _state.grad_enabled = saved
 
 
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -279,10 +378,11 @@ def attention(q, k, v, scale: float) -> Tensor:
     and ``v`` hold the same number of keys. Each head is processed in tiles
     of ``max(1, ATTENTION_BLOCK // n_keys)`` query rows, so a tile of scores
     fits in a core's L2 cache. When a head spans more than one tile, the
-    heads are shared out over min(heads, ``ATTENTION_WORKERS``) threads, one
-    per core that BLAS leaves free, each with its own tile in its own core's
-    L2; every head runs the same ops in the same order either way, so the
-    bytes do not depend on the worker count. A tile takes four elementwise
+    heads are shared out (``share``) over min(heads, workers) threads, each
+    with its own tile in its own core's L2: inside a ``thread_policy`` block
+    that shares nothing else, such as ``predict`` on one frame. Every head
+    runs the same ops in the same order either way, so the bytes do not
+    depend on the worker count. A tile takes four elementwise
     passes over its scores (max, subtract, exp, sum) and divides the
     (rows, dh) output by the row sums, never the probabilities. Every row's
     log-sum-exp is kept, so the backward pass rebuilds a tile's
@@ -306,9 +406,12 @@ def attention(q, k, v, scale: float) -> Tensor:
     heads, n, _ = qd.shape
     rows = max(1, ATTENTION_BLOCK // kd.shape[1])
     tiles = [slice(lo, lo + rows) for lo in range(0, n, rows)]
-    # a head of one tile is too little work to share: on two cores, two
-    # workers made 64 px frames (256 tokens) 12-13% slower to infer and train
-    workers = min(heads, ATTENTION_WORKERS) if len(tiles) > 1 else 1
+
+    def share_heads(work):
+        # a head of one tile is too little work to share: on two cores, two
+        # workers made 64 px frames (256 tokens) 12-13% slower to infer and train
+        workers = min(heads, _state.workers or 1) if len(tiles) > 1 else 1
+        share(work, [range(i, heads, workers) for i in range(workers)])
 
     def scores(h, t, buf):
         qs = qd[h, t] * scale
@@ -331,7 +434,7 @@ def attention(q, k, v, scale: float) -> Tensor:
                 out[h, t] /= z
                 lse[h, t] = m + np.log(z)
 
-    _share_heads(forward_heads, heads, workers)
+    share_heads(forward_heads)
 
     def back(g):
         dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
@@ -353,7 +456,7 @@ def attention(q, k, v, scale: float) -> Tensor:
                     dq[h, t] *= scale
                     dk[h] += ds.T @ qs
 
-        _share_heads(backward_heads, heads, workers)
+        share_heads(backward_heads)
         _accumulate(q, dq)
         _accumulate(k, dk)
         _accumulate(v, dv)

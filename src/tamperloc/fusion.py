@@ -187,9 +187,11 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def zero_grad(self):
-        for t in self.tensors.values():
-            t.grad = None
+    def view(self) -> "ParamStore":
+        """Fresh grad-requiring tensors over the same parameter arrays, so a
+        tape built on them accumulates into gradients of its own."""
+        tensors = {name: Tensor(t.data, requires_grad=True) for name, t in self.tensors.items()}
+        return ParamStore(self.arch, self.seed, tensors)
 
 
 def init_network(cfg: ArchConfig, seed: int) -> ParamStore:
@@ -317,9 +319,12 @@ def forward_graph(params: ParamStore, x, pad_mode: str = "zero") -> tuple[Tensor
 def forward(params: ParamStore, x) -> np.ndarray:
     """Predicted tamper probabilities, shape (H, W), each strictly in (0, 1).
 
-    Runs without a tape: nothing is kept for a backward pass.
+    Runs without a tape: nothing is kept for a backward pass. Runs under the
+    thread policy, so the bytes do not depend on the BLAS threads the
+    caller's environment asks for, and a large frame's attention heads share
+    the cores.
     """
-    with ad.no_grad():
+    with ad.thread_policy(), ad.no_grad():
         _, probs = _forward_graph(params, _stack_data(x), "zero")
     return probs.data
 
@@ -367,10 +372,16 @@ def build_feature_stack(f: Frame, views: "Iterable[str] | None" = None) -> Featu
 
 
 def predict(params: ParamStore, f: Frame, views: "Iterable[str] | None" = None) -> np.ndarray:
-    """Extract the selected views from a frame and run :func:`forward` on them."""
+    """Extract the selected views from a frame and run :func:`forward` on them.
+
+    The extraction runs under the thread policy too: a BLAS call at the
+    default thread count wakes OpenBLAS's own threads, which then spin on
+    the cores the attention workers need.
+    """
     if params.arch.input_channels != INPUT_CHANNELS:
         raise PipelineError("bad-arch", "predict needs the full multi-view input layout")
-    return forward(params, build_feature_stack(f, views).data)
+    with ad.thread_policy():
+        return forward(params, build_feature_stack(f, views).data)
 
 
 GRADCHECK_STEP = 1e-5

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .core import check_seed, split_item
 from .errors import PipelineError
 from .fusion import ParamStore, check_views, predict
@@ -115,20 +116,24 @@ def evaluate(
 
     An optional perturbation is applied to every pair before prediction, with
     a per-item seed derived from ``seed`` so noisy kinds are reproducible.
+    Frames run on the workers of ``autodiff.thread_policy``; the rows keep
+    item order, so the report does not depend on the worker count.
     """
     items = list(dataset)
     if not items:
         raise PipelineError("empty-dataset", "nothing to evaluate")
     chosen, seed = check_views(views), check_seed(seed)
 
-    rows = []
-    for index, item in enumerate(items):
-        item_id, frame, truth = split_item(item, index)
+    def row(index: int) -> FrameMetrics:
+        item_id, frame, truth = split_item(items[index], index)
         if perturbation is not None:
             frame, truth = perturb_pair(frame, truth, perturbation, seed=[seed, index])
         pred = predict(params, frame, chosen)
         c = confusion_counts(binarize(pred), truth)
-        rows.append(FrameMetrics(item_id, miou(c), f1_score(c), foreground_iou(c)))
+        return FrameMetrics(item_id, miou(c), f1_score(c), foreground_iou(c))
+
+    with ad.thread_policy():
+        rows = ad.share(row, range(len(items)))
 
     return MetricsReport(
         miou=_mean([r.miou for r in rows]),

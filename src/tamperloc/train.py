@@ -9,6 +9,8 @@ position, so reordering a batch cannot change any sample's forward result.
 
 from __future__ import annotations
 
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +86,12 @@ def _sample_stack(
     cache: dict,
     step: int,
     item_idx: int,
+    fill=nullcontext(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature stack and target for one drawn sample, augmented or clean.
 
-    Clean stacks are extracted once and cached; augmented samples re-extract
+    Clean stacks are extracted once and cached, under the item's ``fill``
+    lock, so one thread fills each entry; augmented samples re-extract
     because every view is sensitive to the perturbed pixels.
     """
     frame, mask = items[item_idx]
@@ -98,8 +102,9 @@ def _sample_stack(
         if spec.kind != "none":
             frame, mask = perturb_pair(frame, mask, spec, seed=key + [1])
             return build_feature_stack(frame, cfg.views).data, mask
-    if item_idx not in cache:
-        cache[item_idx] = build_feature_stack(frame, cfg.views).data
+    with fill:
+        if item_idx not in cache:
+            cache[item_idx] = build_feature_stack(frame, cfg.views).data
     return cache[item_idx], mask
 
 
@@ -107,8 +112,12 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
     """Adam over seeded shuffled minibatches; returns params and per-step losses.
 
     Batches are consecutive slices of per-epoch permutations (epochs may span
-    a batch boundary); the batch loss is the mean of per-sample BCE terms
-    accumulated in draw order.
+    a batch boundary). Each sample gets a tape of its own over a view of the
+    parameters, rooted at its BCE loss times 1 / batch size, and the samples
+    run on the workers of ``autodiff.thread_policy``. The per-sample roots'
+    losses and gradients are summed in draw order once all have run, so the
+    batch loss is the mean of the per-sample terms and no byte depends on
+    the worker count.
     """
     items = [split_item(entry, index)[1:] for index, entry in enumerate(dataset)]
     if not items:
@@ -117,23 +126,31 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
     opt = Adam(params, cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), _SHUFFLE_TAG]))
     cache: dict = {}
+    fills = [threading.Lock() for _ in items]
+    scale = 1.0 / cfg.batch_size
+
+    def sample(step: int, item_idx: int):
+        stack, target = _sample_stack(cfg, items, cache, step, item_idx, fills[item_idx])
+        view = params.view()
+        _, probs = forward_graph(view, stack)
+        loss = bce_loss_graph(probs, target)
+        ad.backward(ad.mul(loss, scale))
+        return loss.data, [t.grad for t in view.tensors.values()]
 
     order: list[int] = []
     history: list[float] = []
-    for step in range(cfg.steps):
-        while len(order) < cfg.batch_size:
-            order.extend(int(i) for i in shuffle_rng.permutation(len(items)))
-        batch, order = order[: cfg.batch_size], order[cfg.batch_size :]
+    with ad.thread_policy():
+        for step in range(cfg.steps):
+            while len(order) < cfg.batch_size:
+                order.extend(int(i) for i in shuffle_rng.permutation(len(items)))
+            batch, order = order[: cfg.batch_size], order[cfg.batch_size :]
 
-        params.zero_grad()
-        total = None
-        for item_idx in batch:
-            stack, target = _sample_stack(cfg, items, cache, step, item_idx)
-            _, probs = forward_graph(params, stack)
-            loss = bce_loss_graph(probs, target)
-            total = loss if total is None else ad.add(total, loss)
-        total = ad.mul(total, 1.0 / cfg.batch_size)
-        ad.backward(total)
-        opt.step()
-        history.append(float(total.data))
+            samples = ad.share(lambda item_idx: sample(step, item_idx), batch)
+            for k, tensor in enumerate(params.tensors.values()):
+                parts = [grads[k] for _, grads in samples if grads[k] is not None]
+                tensor.grad = parts[0] if parts else None  # the first sample's own array
+                for grad in parts[1:]:
+                    tensor.grad += grad
+            opt.step()
+            history.append(float(sum(loss for loss, _ in samples) * scale))
     return params, history

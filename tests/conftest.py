@@ -1,0 +1,44 @@
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from tamperloc import autodiff as ad
+
+
+@pytest.fixture
+def policy(monkeypatch):
+    """``policy(n)`` is ``ad.thread_policy()`` on a machine of ``n`` cores."""
+
+    def enter(cores):
+        monkeypatch.setattr(ad, "cores", lambda: cores)
+        return ad.thread_policy()
+
+    return enter
+
+
+@pytest.fixture
+def blas_threads():
+    """The thread-count getter of numpy's OpenBLAS, set to two threads for the
+    test (where OpenBLAS allows two) and reset afterwards."""
+    blas = ad._openblas()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count symbols")
+    get, set_ = blas
+    old = get()
+    set_(2)
+    yield get
+    set_(old)
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """The tasks given to the thread pools that ``ad.share`` starts, in order."""
+    tasks = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            tasks.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+    return tasks

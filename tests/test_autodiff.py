@@ -1,5 +1,6 @@
+import sys
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -61,20 +62,6 @@ def dense_attention(q, k, v, scale):
 def qkv(seed, heads, n, dh):
     rng = default_rng(seed)
     return [rng.normal(size=(heads, n, dh)) * 2.0 for _ in range(3)]
-
-
-@pytest.fixture
-def pool_tasks(monkeypatch):
-    """The tasks attention gives its thread pools, in order."""
-    tasks = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            tasks.append(fn)
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
-    return tasks
 
 
 class TestForwardValues:
@@ -158,23 +145,23 @@ class TestForwardValues:
             tracemalloc.stop()
         return peak, out.data.nbytes
 
-    def test_attention_memory_is_bounded_by_one_tile(self, monkeypatch):
+    def test_attention_memory_is_bounded_by_one_tile(self, policy):
         # no-grad, as one head split of a 192 px frame, on one worker: beyond
         # the output and the row statistics, one tile of scores; 128 query
         # rows of all four heads would be 9.4 MB on their own
-        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 1)
         heads, n = 4, 2304
-        peak, out_bytes = self.attention_peak(heads, n, 16)
+        with policy(1):
+            peak, out_bytes = self.attention_peak(heads, n, 16)
         tile = ad.ATTENTION_BLOCK // n * n * 8
         assert peak < tile + out_bytes + heads * n * 8 + (128 << 10)
 
-    def test_attention_memory_is_bounded_by_one_tile_per_worker(self, monkeypatch, pool_tasks):
+    def test_attention_memory_is_bounded_by_one_tile_per_worker(self, policy, pool_tasks):
         # each worker holds a tile and about 72 KB of row-sized temporaries,
         # 54 KiB of them the three n-element buffers numpy's iterator makes
         # for the broadcast `s -= m`; the dense scores would be 170 MB
-        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
         heads, n = 4, 2304
-        peak, out_bytes = self.attention_peak(heads, n, 16)
+        with policy(2):
+            peak, out_bytes = self.attention_peak(heads, n, 16)
         tile = ad.ATTENTION_BLOCK // n * n * 8
         assert len(pool_tasks) == 2
         assert peak < 2 * (tile + (64 << 10)) + out_bytes + heads * n * 8 + (64 << 10)
@@ -486,16 +473,16 @@ class TestAttentionWorkers:
         [(3, 600, None), (4, 50, 16 * 50), (2, 37, 5 * 37)],
         ids=["3-heads-default-block", "4-heads-remainder", "2-heads-remainder"],
     )
-    def test_one_and_two_workers_give_the_same_bytes(self, monkeypatch, pool_tasks, heads, n, block):
+    def test_one_and_two_workers_give_the_same_bytes(self, monkeypatch, policy, pool_tasks, heads, n, block):
         # tiles of 218, 218 and 164 rows at the default block; 16, 16, 16
         # and 2 rows; 5 rows and a 2-row remainder
         if block is not None:
             monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
-        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 1)
-        inline = self.output_and_gradient_bytes(heads, n, 8, seed=n)
+        with policy(1):
+            inline = self.output_and_gradient_bytes(heads, n, 8, seed=n)
         assert len(pool_tasks) == 0
-        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
-        threaded = self.output_and_gradient_bytes(heads, n, 8, seed=n)
+        with policy(2):
+            threaded = self.output_and_gradient_bytes(heads, n, 8, seed=n)
         assert len(pool_tasks) == 4  # two head groups forward, two backward
         assert threaded == inline
 
@@ -511,19 +498,27 @@ class TestAttentionWorkers:
             ({"OPENBLAS_NUM_THREADS": "two"}, 1),
         ],
     )
-    def test_one_worker_per_core_that_blas_leaves_free(self, environ, workers):
-        # four cores; OpenBLAS reads OPENBLAS_NUM_THREADS, then
-        # OMP_NUM_THREADS, and without either runs a thread per core
-        assert ad._workers(4, environ) == workers
+    def test_one_worker_per_core_that_blas_leaves_free(self, monkeypatch, policy, environ, workers):
+        # without the OpenBLAS symbols the policy cannot pin BLAS, and falls
+        # back to the count OpenBLAS reads from OPENBLAS_NUM_THREADS, then
+        # OMP_NUM_THREADS, when it loads: without either it runs a thread
+        # per core. Four cores; the environment is read as the block starts.
+        monkeypatch.setattr(ad, "_openblas", lambda: None)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in environ.items():
+            monkeypatch.setenv(var, value)
+        with policy(4) as got:
+            assert got == workers
 
     @pytest.mark.parametrize("heads, n", [(4, 256), (1, 600)], ids=["one-tile-per-head", "one-head"])
-    def test_inline_when_there_is_nothing_to_share(self, monkeypatch, heads, n):
+    def test_inline_when_there_is_nothing_to_share(self, monkeypatch, policy, heads, n):
         def refuse(*args, **kwargs):
             raise AssertionError("attention started a thread pool")
 
-        monkeypatch.setattr(ad, "ATTENTION_WORKERS", 2)
         monkeypatch.setattr(ad, "ThreadPoolExecutor", refuse)
-        self.output_and_gradient_bytes(heads, n, 8, seed=1)
+        with policy(2):
+            self.output_and_gradient_bytes(heads, n, 8, seed=1)
 
 
 class TestNoGrad:
@@ -559,3 +554,113 @@ class TestNoGrad:
         out = ad.mean_all(ad.mul(x, -1.0))
         ad.backward(out)
         np.testing.assert_array_equal(x.grad, [-0.5, -0.5])
+
+
+class TestThreadPolicy:
+    def test_overlapping_no_grad_blocks_in_two_threads_leave_recording_on(self):
+        # A enters, B enters, A leaves, B leaves: with one flag for the whole
+        # process, B would restore the False that A set and nothing would tape
+        x = Tensor(np.ones(2), requires_grad=True)
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        taped = {}
+
+        def a():
+            with ad.no_grad():
+                a_in.set()
+                b_in.wait(10)
+                taped["a"] = ad.mul(x, 2.0).requires_grad
+            a_out.set()
+
+        def b():
+            a_in.wait(10)
+            with ad.no_grad():
+                b_in.set()
+                a_out.wait(10)
+                taped["b"] = ad.mul(x, 2.0).requires_grad
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        assert b_in.wait(10)
+        assert ad.mul(x, 3.0).requires_grad  # both threads are inside no_grad
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert taped == {"a": False, "b": False}
+        ad.backward(ad.mean_all(ad.mul(x, -1.0)))
+        np.testing.assert_array_equal(x.grad, [-0.5, -0.5])
+
+    @pytest.mark.parametrize(
+        "quota, cores",
+        [("max 100000\n", 4), ("150000 100000\n", 2), ("50000 100000\n", 1), (None, 4)],
+        ids=["max", "one-and-a-half-cpus", "half-a-cpu", "no-file"],
+    )
+    def test_cgroup_quota_caps_the_cores(self, monkeypatch, tmp_path, quota, cores):
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        path = tmp_path / "cpu.max"
+        if quota is not None:
+            path.write_text(quota)
+        monkeypatch.setattr(ad, "CPU_MAX", str(path))
+        assert ad.cores() == cores
+
+    def test_pins_one_blas_thread_and_restores_the_count(self, blas_threads, policy):
+        before = blas_threads()
+        with policy(2) as workers:
+            assert (workers, blas_threads()) == (2, 1)
+            with ad.thread_policy() as nested:
+                assert (nested, blas_threads()) == (2, 1)
+            assert blas_threads() == 1
+        assert blas_threads() == before
+
+    def test_the_first_error_in_job_order_reaches_the_caller(self, policy):
+        def work(job):
+            if job in (1, 3):
+                raise PipelineError("bad-item", f"job {job}")
+            return job
+
+        with pytest.raises(PipelineError, match="bad-item: job 1"):
+            with policy(2):
+                ad.share(work, range(5))
+
+    def test_policies_entered_from_many_threads_restore_the_count_once(self, blas_threads, policy):
+        before = blas_threads()
+        inside = []
+
+        def enter_and_leave():
+            for _ in range(200):
+                with ad.thread_policy():
+                    inside.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with policy(2):
+                pass  # cores() stays patched to 2 for the threads below
+            threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(inside) == 8 * 200 and set(inside) == {1}
+        assert blas_threads() == before
+
+    def test_share_keeps_job_order_and_shares_one_level(self, policy, pool_tasks):
+        def outer(job):
+            return ad.share(lambda inner: (job, inner, threading.current_thread().name), range(2))
+
+        with policy(2):
+            rows = ad.share(outer, range(3))
+        assert [[(j, i) for j, i, _ in row] for row in rows] == [[(j, 0), (j, 1)] for j in range(3)]
+        assert all(name.startswith("tamperloc") for row in rows for _, _, name in row)
+        assert len(pool_tasks) == 3  # the inner calls ran inline on their worker
+        assert ad.share(outer, range(3)) == [[(j, i, threading.current_thread().name) for i in range(2)] for j in range(3)]
+
+    def test_workers_tape_exactly_when_the_caller_does(self, policy):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with policy(2):
+            assert ad.share(lambda _: ad.mul(x, 2.0).requires_grad, range(2)) == [True, True]
+            with ad.no_grad():
+                assert ad.share(lambda _: ad.mul(x, 2.0).requires_grad, range(2)) == [False, False]

@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+import tamperloc.autodiff as ad
 import tamperloc.metrics as metrics_mod
 from tamperloc.core import Frame
 from tamperloc.errors import PipelineError
-from tamperloc.fusion import ArchConfig, init_network
+from tamperloc.formats import write_report
+from tamperloc.fusion import ArchConfig, init_network, predict
 from tamperloc.metrics import (
     ConfusionCounts,
     MetricsReport,
@@ -159,9 +162,9 @@ class TestEvaluate:
 
     def test_oracle_predictor_scores_one(self, monkeypatch):
         items = items_with_masks(3)
-        truths = {i: mask for i, (_, _, mask) in enumerate(items)}
-        calls = iter(range(len(items)))
-        monkeypatch.setattr(metrics_mod, "predict", lambda params, frame, views: truths[next(calls)])
+        # keyed by frame, not by call order: frames may run on several workers
+        truths = {id(frame): mask for _, frame, mask in items}
+        monkeypatch.setattr(metrics_mod, "predict", lambda params, frame, views: truths[id(frame)])
         report = evaluate(init_network(ArchConfig(), 0), items)
         assert report.miou == 1.0 and report.f1 == 1.0 and report.miou_fg == 1.0
 
@@ -227,3 +230,29 @@ class TestEvaluate:
         assert 0.0 <= report.miou <= 1.0
         assert 0.0 <= report.f1 <= 1.0
         assert len(report.per_frame) == 1
+
+
+class TestSharedFrames:
+    @pytest.mark.parametrize("perturbation", [None, PerturbSpec("compression", 75.0)], ids=["plain", "compression"])
+    def test_one_and_two_workers_give_the_same_report_bytes(self, policy, tmp_path, perturbation):
+        items = items_with_masks(5, size=32)
+        params = init_network(ArchConfig(), 3)
+        reports = []
+        for cores in (1, 2):
+            with policy(cores):
+                path = tmp_path / f"report{cores}.json"
+                write_report(path, evaluate(params, items, perturbation=perturbation, seed=4))
+                reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        assert [row["id"] for row in json.loads(reports[1])["per_frame"]] == [f"item_{i}" for i in range(5)]
+
+    def test_attention_runs_inline_while_frames_are_shared(self, monkeypatch, policy, pool_tasks):
+        # 32 px frames have 64 tokens: tiles of 8 rows give every head 8 tiles
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8 * 64)
+        items, params = items_with_masks(3, size=32), init_network(ArchConfig(), 3)
+        with policy(2):
+            evaluate(params, items)
+        assert len(pool_tasks) == 3  # the frames
+        with policy(2):
+            predict(params, items[0][1])
+        assert len(pool_tasks) == 3 + 2 * 2  # one frame alone: two head groups in each encoder layer

@@ -1,14 +1,30 @@
+import hashlib
+import importlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from tamperloc import autodiff as ad
 from tamperloc.core import Frame
 from tamperloc.errors import PipelineError
-from tamperloc.fusion import ArchConfig
-from tamperloc.perturb import PerturbSpec
-from tamperloc.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, TrainConfig, _sample_stack, train
+from tamperloc.fusion import VARIANTS, ArchConfig, bce_loss_graph, forward_graph, init_network
+from tamperloc.perturb import PerturbSpec, perturb_suite
+from tamperloc.train import (
+    _SHUFFLE_TAG,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    Adam,
+    TrainConfig,
+    _sample_stack,
+    train,
+)
+
+train_mod = importlib.import_module("tamperloc.train")  # the package exports a function of that name
 
 
 def balanced_items(count: int = 3, size: int = 32):
@@ -173,3 +189,104 @@ class TestSampleStack:
         b, _ = _sample_stack(cfg, items, cache, step=7, item_idx=0)
         assert 0 in cache
         assert a is b
+
+
+def single_tape_train(cfg, arch, items):
+    """train() as it was before samples were shared: one tape per minibatch,
+    its samples run one after another and the root their mean loss."""
+    params = init_network(arch, cfg.seed)
+    opt = Adam(params, cfg.lr)
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SHUFFLE_TAG]))
+    cache, order, history = {}, [], []
+    for step in range(cfg.steps):
+        while len(order) < cfg.batch_size:
+            order.extend(int(i) for i in shuffle_rng.permutation(len(items)))
+        batch, order = order[: cfg.batch_size], order[cfg.batch_size :]
+        for t in params.tensors.values():
+            t.grad = None
+        total = None
+        for item_idx in batch:
+            stack, target = _sample_stack(cfg, items, cache, step, item_idx)
+            _, probs = forward_graph(params, stack)
+            loss = bce_loss_graph(probs, target)
+            total = loss if total is None else ad.add(total, loss)
+        total = ad.mul(total, 1.0 / cfg.batch_size)
+        ad.backward(total)
+        opt.step()
+        history.append(float(total.data))
+    return params, history
+
+
+def training_digest(params, history) -> str:
+    h = hashlib.sha256(np.array(history).tobytes())
+    for name, t in params.tensors.items():
+        h.update(name.encode() + t.data.tobytes())
+    return h.hexdigest()
+
+
+class TestSharedSamples:
+    @pytest.mark.parametrize("augment", [(), perturb_suite()], ids=["clean", "augmented"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_and_two_workers_give_the_single_tape_bytes(self, policy, variant, augment):
+        # 3 items in batches of 4: some batches draw an item twice
+        items, arch = balanced_items(3), ArchConfig(variant=variant)
+        cfg = TrainConfig(steps=16, batch_size=4, seed=5, augment=augment)
+        with policy(1):  # one BLAS thread on both sides
+            want = training_digest(*single_tape_train(cfg, arch, items))
+        for cores in (1, 2):
+            with policy(cores):
+                assert training_digest(*train(cfg, arch, items)) == want
+
+    def test_an_error_in_a_sample_worker_reaches_the_caller(self, blas_threads, policy, pool_tasks):
+        # the 20 px frame is too small for the texture bank; it is extracted
+        # on a worker, and the other samples of its batch are dropped or done
+        before = blas_threads()
+        small = Frame(default_rng(0).uniform(0.0, 1.0, (3, 20, 20)))
+        items = balanced_items(3) + [(small, np.zeros((20, 20)))]
+        raised = {}
+
+        def run():
+            with policy(2):
+                try:
+                    train(TrainConfig(steps=2, batch_size=4), ArchConfig(), items)
+                except PipelineError as exc:
+                    raised["error"] = exc
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(120)
+        assert not worker.is_alive()
+        assert str(raised["error"]) == "kernel-exceeds-image: kernel 25x25 on 20x20"
+        assert len(pool_tasks) > 0
+        assert blas_threads() == before
+
+    def test_each_clean_stack_is_extracted_by_one_thread(self, monkeypatch, policy):
+        # eight workers on two items drawn four times each in every batch
+        extracted = []
+        real = train_mod.build_feature_stack
+
+        def counting(frame, views):
+            extracted.append(id(frame))
+            return real(frame, views)
+
+        monkeypatch.setattr(train_mod, "build_feature_stack", counting)
+        items = balanced_items(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with policy(8):
+                train(TrainConfig(steps=2, batch_size=8), ArchConfig(), items)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(extracted) == sorted(id(frame) for frame, _ in items)
+
+    def test_attention_runs_inline_while_samples_are_shared(self, monkeypatch, policy, pool_tasks):
+        # 32 px frames have 64 tokens: tiles of 8 rows give every head 8 tiles
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8 * 64)
+        with policy(2):
+            train(TrainConfig(steps=3, batch_size=2), ArchConfig(), balanced_items(2))
+        assert len(pool_tasks) == 3 * 2  # the samples, two a step
+        with policy(2):
+            train(TrainConfig(steps=1, batch_size=1), ArchConfig(), balanced_items(1))
+        # one sample alone: two head groups in each encoder layer, forward and back
+        assert len(pool_tasks) == 3 * 2 + 2 * 2 * 2
