@@ -24,10 +24,10 @@ row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
 2307.08691). When a head spans more than one tile, the heads may run on one
 worker per core, each worker with its own tile in its own core's L2.
 ``conv2d`` likewise works through bands of output rows, building each band's
-im2col columns channel-major and rebuilding them in the backward pass, so
-beyond its inputs, output and gradients it holds one band of columns, not a
-whole frame of them. Both recompute rather than store, as in Rabe & Staats
-(arXiv 2112.05682).
+im2col columns channel-major from one slab of padded input rows and rebuilding
+them in the backward pass, so beyond its inputs, output and gradients it holds
+one band of columns and one slab. Both recompute rather than store, as in
+Rabe & Staats (arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -530,10 +530,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
     Output rows are processed in bands of ``max(1, CONV_BLOCK // wo)`` rows.
     Each band's channel-major columns (Cin*kh*kw, band*wo) are built, used in
     one gemm and dropped; the backward pass rebuilds them for the weight
-    gradient instead of storing them. Beyond the inputs, the padded input,
-    the output and the gradients, forward and backward hold O((Cin*kh*kw +
-    Cout) * max(CONV_BLOCK, wo)) floats at a time, never the whole-frame
-    (H*W, Cin*kh*kw) im2col matrix.
+    gradient instead of storing them. Zero padding is applied per band, in one
+    (Cin, (band-1)*stride + kh, W + 2*pad) slab of the band's input rows, so
+    no padded copy of the input exists ("wrap" still pads it whole). Beyond
+    the inputs, the output and the gradients, forward and backward hold one
+    slab and O((Cin*kh*kw + Cout) * max(CONV_BLOCK, wo)) floats at a time,
+    never the whole-frame (H*W, Cin*kh*kw) im2col matrix.
     """
     if pad_mode not in ("zero", "wrap"):
         raise PipelineError("bad-pad-mode", pad_mode)
@@ -542,36 +544,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
     if xd.ndim != 3 or xd.shape[0] != cin:
         raise PipelineError("shape-mismatch", f"conv input {xd.shape} vs weight {wd.shape}")
 
-    if pad:
-        mode = "constant" if pad_mode == "zero" else "wrap"
-        padded = np.pad(xd, ((0, 0), (pad, pad), (pad, pad)), mode=mode)
-    else:
-        padded = xd
-    hp, wp = padded.shape[1:]
+    wrap = pad_mode == "wrap" and pad > 0
+    src = np.pad(xd, ((0, 0), (pad, pad), (pad, pad)), mode="wrap") if wrap else xd
+    margin = 0 if wrap else pad  # zero rows and columns around src
+    h, wdt = src.shape[1:]
+    hp, wp = h + 2 * margin, wdt + 2 * margin
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-
-    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # (cin, ho, wo, kh, kw)
     wmat = wd.reshape(cout, -1)
     band = max(1, CONV_BLOCK // wo)
-    bands = [(lo, slice(lo * wo, (lo + band) * wo)) for lo in range(0, ho, band)]
+    span = (band - 1) * stride + kh  # padded rows that a whole band reads
 
-    def columns(lo):
-        return win[:, lo : lo + band].transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, -1)
+    def bands():
+        """(first output row, output pixels, padded input rows read) of each band."""
+        slab = np.zeros((cin, min(span, hp), wp)) if margin else None
+        for lo in range(0, ho, band):
+            top, n = lo * stride - margin, min(span, hp - lo * stride)
+            if slab is None:
+                rows = src[:, top : top + n]
+            else:  # rows above src are still zero: bands run downwards from a zero slab
+                a, z = max(top, 0), max(min(top + n, h), top, 0)
+                rows = slab[:, :n]
+                rows[:, a - top : z - top, margin:-margin] = src[:, a:z]
+                rows[:, z - top :] = 0.0
+            yield lo, slice(lo * wo, (lo + band) * wo), rows
+
+    def columns(rows):
+        win = sliding_window_view(rows, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # (cin, nb, wo, kh, kw)
+        return win.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, -1)
 
     out = np.empty((cout, ho * wo))
-    for lo, px in bands:
-        out[:, px] = wmat @ columns(lo)
+    for _, px, rows in bands():
+        out[:, px] = wmat @ columns(rows)
     out += b.data[:, None]
 
     def back(g):
         gmat = g.reshape(cout, -1)  # (cout, ho*wo)
         _accumulate(b, gmat.sum(axis=1))
         dw = np.zeros_like(wmat)
-        dpad = np.zeros_like(padded) if x.requires_grad else None
-        for lo, px in bands:
+        dpad = np.zeros((cin, hp, wp)) if x.requires_grad else None
+        for lo, px, rows in bands():
             gb = gmat[:, px]
-            dw += gb @ columns(lo).T
+            dw += gb @ columns(rows).T
             if dpad is None:
                 continue
             nb = min(band, ho - lo)
@@ -588,9 +602,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
         elif pad_mode == "zero":
             _accumulate(x, dpad[:, pad:-pad, pad:-pad])
         else:  # fold wrapped borders back onto the image
-            h, wdt = xd.shape[1:]
-            rows = (np.arange(hp) - pad) % h
-            colsix = (np.arange(wp) - pad) % wdt
+            rows = (np.arange(hp) - pad) % xd.shape[1]
+            colsix = (np.arange(wp) - pad) % xd.shape[2]
             dx = np.zeros_like(xd)
             np.add.at(dx, (slice(None), rows[:, None], colsix[None, :]), dpad)
             _accumulate(x, dx)

@@ -84,10 +84,11 @@ def band_reconstruct(channel: np.ndarray, block_size: int, band: str) -> np.ndar
 
 
 def frequency_features(f: Frame) -> FeatureStack:
-    """12 channels: (32, low), (16, mid), (8, high), (4, full) per RGB channel.
+    """12 channels: (32, low), (16, mid), (8, high), (4, full) per RGB channel,
+    one transform of all three channels per block size.
 
     Reconstructions are clamped to [-1, 2] (band filtering can overshoot the
     input range) and mapped affinely onto [0, 1].
     """
-    recon = np.stack([band_reconstruct(channel, b, band) for b, band in BAND_SPECS for channel in f.data])
+    recon = np.concatenate([blockwise_dct(f.data, b, lambda c, m=band_mask(b, band): c * m) for b, band in BAND_SPECS])
     return FeatureStack(affine_map_to_unit(recon, CLAMP_LO, CLAMP_HI), FREQUENCY_LABELS)

@@ -257,28 +257,30 @@ def _run_encoder(grid: Tensor, p: ParamStore, cfg: ArchConfig, relu_trace: list 
 
 
 def _forward_graph(
-    p: ParamStore, x: np.ndarray, pad_mode: str, relu_trace: list | None = None
+    p: ParamStore, x: np.ndarray, pad_mode: str, relu_trace: list | None = None, owned: bool = False
 ) -> tuple[Tensor, Tensor]:
     """Full tape: (pre-upsample logit grid, (H, W) probabilities) of a stack.
 
     Sides that are not multiples of 4 are reflect-padded on the bottom and
-    right, and the probabilities cropped back. Pre-activations feeding a ReLU
-    are appended to ``relu_trace`` when it is a list, so the finite-difference
-    check can reject points where a kink sits inside the probe interval.
+    right, and the probabilities cropped back. The stack is centred in place
+    if the caller ``owned`` it or it was padded, else into a new array.
+    Pre-activations feeding a ReLU are appended to ``relu_trace`` when it is a
+    list, so the finite-difference check can reject points where a kink sits
+    inside the probe interval.
     """
     cfg = p.arch
     if x.ndim != 3 or x.shape[0] != cfg.input_channels:
         raise PipelineError("shape-mismatch", f"stack of shape {x.shape}, expected ({cfg.input_channels}, H, W)")
     h, w = x.shape[1:]
-    if h % 4 or w % 4:
-        x = np.pad(x, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="reflect")
+    if h % 4 or w % 4:  # a private copy; reflect padding commutes with the centring below
+        x, owned = np.pad(x, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="reflect"), True
 
     def conv(name, t, stride=1, pad=0):
         return ad.conv2d(t, p[name + ".w"], p[name + ".b"], stride=stride, pad=pad, pad_mode=pad_mode)
 
     # center the unit-interval features; equivalent to a conv1 bias shift but
     # keeps the ReLU units alive under the zero-bias fan-in init
-    t, branch = Tensor(x - 0.5), None
+    t, branch = Tensor(np.subtract(x, 0.5, out=x if owned else None)), None
     for layer in variant_layers(cfg):
         if layer.kind == "encoder":
             t = _run_encoder(t, p, cfg, relu_trace)
@@ -380,8 +382,9 @@ def predict(params: ParamStore, f: Frame, views: "Iterable[str] | None" = None) 
     """
     if params.arch.input_channels != INPUT_CHANNELS:
         raise PipelineError("bad-arch", "predict needs the full multi-view input layout")
-    with ad.thread_policy():
-        return forward(params, build_feature_stack(f, views).data)
+    with ad.thread_policy(), ad.no_grad():
+        _, probs = _forward_graph(params, build_feature_stack(f, views).data, "zero", owned=True)
+    return probs.data
 
 
 GRADCHECK_STEP = 1e-5
@@ -414,51 +417,53 @@ def finite_difference_check(seed: int = 0, arch: "ArchConfig | None" = None) -> 
 
     A genuinely wrong tape gradient survives refinement, because the quotient
     converges to the true derivative while the analytic value stays wrong.
+    Runs under the thread policy, like every entry point.
     """
-    cfg, seed = arch or micro_arch(), check_seed(seed)
-    guard = 0.5 * GRADCHECK_STEP
-    for attempt in range(64):
-        rng = np.random.default_rng(np.random.SeedSequence([23, seed, attempt]))
-        x = rng.uniform(0.0, 1.0, size=(cfg.input_channels, 8, 8))
-        target = (rng.uniform(size=(8, 8)) > 0.5).astype(np.float64)
-        params = init_network(cfg, seed + 1000 * attempt)
-        trace: list[Tensor] = []
-        _, probs = _forward_graph(params, x, "zero", trace)
-        if min(float(np.abs(t.data).min()) for t in trace) >= guard:
-            break
-    else:
-        raise PipelineError("gradcheck-degenerate", "no kink-free probe point in 64 draws")
+    with ad.thread_policy():
+        cfg, seed = arch or micro_arch(), check_seed(seed)
+        guard = 0.5 * GRADCHECK_STEP
+        for attempt in range(64):
+            rng = np.random.default_rng(np.random.SeedSequence([23, seed, attempt]))
+            x = rng.uniform(0.0, 1.0, size=(cfg.input_channels, 8, 8))
+            target = (rng.uniform(size=(8, 8)) > 0.5).astype(np.float64)
+            params = init_network(cfg, seed + 1000 * attempt)
+            trace: list[Tensor] = []
+            _, probs = _forward_graph(params, x, "zero", trace)
+            if min(float(np.abs(t.data).min()) for t in trace) >= guard:
+                break
+        else:
+            raise PipelineError("gradcheck-degenerate", "no kink-free probe point in 64 draws")
 
-    loss = bce_loss_graph(probs, target)
-    ad.backward(loss)
-    analytic = {name: t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for name, t in params.tensors.items()}
+        loss = bce_loss_graph(probs, target)
+        ad.backward(loss)
+        analytic = {name: t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for name, t in params.tensors.items()}
 
-    def loss_value() -> float:
-        return bce_loss(forward(params, x), target)
+        def loss_value() -> float:
+            return bce_loss(forward(params, x), target)
 
-    report: dict[str, float] = {}
-    ok = True
-    for name, t in params.tensors.items():
-        flat = t.data.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            a = analytic[name].reshape(-1)[i]
-            keep = flat[i]
-            for step in (GRADCHECK_STEP, GRADCHECK_STEP / 4.0, GRADCHECK_STEP / 16.0):
-                flat[i] = keep + step
-                up = loss_value()
-                flat[i] = keep - step
-                down = loss_value()
-                flat[i] = keep
-                numeric = (up - down) / (2.0 * step)
-                if abs(a - numeric) <= GRADCHECK_ATOL:
-                    rel = 0.0
-                    break
-                rel = abs(a - numeric) / max(abs(a), abs(numeric))
-                if rel < GRADCHECK_TOL:
-                    break
-            worst = max(worst, rel)
-        report[name] = worst
-        if worst >= GRADCHECK_TOL:
-            ok = False
-    return ok, report
+        report: dict[str, float] = {}
+        ok = True
+        for name, t in params.tensors.items():
+            flat = t.data.reshape(-1)
+            worst = 0.0
+            for i in range(flat.size):
+                a = analytic[name].reshape(-1)[i]
+                keep = flat[i]
+                for step in (GRADCHECK_STEP, GRADCHECK_STEP / 4.0, GRADCHECK_STEP / 16.0):
+                    flat[i] = keep + step
+                    up = loss_value()
+                    flat[i] = keep - step
+                    down = loss_value()
+                    flat[i] = keep
+                    numeric = (up - down) / (2.0 * step)
+                    if abs(a - numeric) <= GRADCHECK_ATOL:
+                        rel = 0.0
+                        break
+                    rel = abs(a - numeric) / max(abs(a), abs(numeric))
+                    if rel < GRADCHECK_TOL:
+                        break
+                worst = max(worst, rel)
+            report[name] = worst
+            if worst >= GRADCHECK_TOL:
+                ok = False
+        return ok, report

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import default_rng
 
 from tamperloc import autodiff as ad
@@ -62,6 +63,47 @@ def dense_attention(q, k, v, scale):
 def qkv(seed, heads, n, dh):
     rng = default_rng(seed)
     return [rng.normal(size=(heads, n, dh)) * 2.0 for _ in range(3)]
+
+
+def whole_frame_pad_conv2d(x, w, b, g, stride, pad, pad_mode, block):
+    """(out, dx, dw, db) of ``conv2d`` with output gradient ``g``, computed as
+    it was before band slabs: the whole input padded once, its gradient
+    accumulated in a padded array and cropped. The same numpy ops run in the
+    same order on the same values, so the bytes must match."""
+    cout, cin, kh, kw = w.shape
+    padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), mode="constant" if pad_mode == "zero" else "wrap")
+    hp, wp = padded.shape[1:]
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    wmat = w.reshape(cout, -1)
+    band = max(1, block // wo)
+    bands = [(lo, slice(lo * wo, (lo + band) * wo)) for lo in range(0, ho, band)]
+
+    def columns(lo):
+        return win[:, lo : lo + band].transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, -1)
+
+    out = np.empty((cout, ho * wo))
+    for lo, px in bands:
+        out[:, px] = wmat @ columns(lo)
+    out += b[:, None]
+    gmat = g.reshape(cout, -1)
+    dw, dpad = np.zeros_like(wmat), np.zeros_like(padded)
+    for lo, px in bands:
+        gb = gmat[:, px]
+        dw += gb @ columns(lo).T
+        nb = min(band, ho - lo)
+        dcols = (wmat.T @ gb).reshape(cin, kh, kw, nb, wo)
+        top = lo * stride
+        for u in range(kh):
+            for v in range(kw):
+                dpad[:, top + u : top + u + stride * nb : stride, v : v + stride * wo : stride] += dcols[:, u, v]
+    if pad_mode == "zero":
+        dx = dpad[:, pad : hp - pad, pad : wp - pad]
+    else:
+        rows, cols = ((np.arange(n + 2 * pad) - pad) % n for n in x.shape[1:])
+        dx = np.zeros_like(x)
+        np.add.at(dx, (slice(None), rows[:, None], cols[None, :]), dpad)
+    return out.reshape(cout, ho, wo), dx, dw.reshape(w.shape), gmat.sum(axis=1)
 
 
 class TestForwardValues:
@@ -287,6 +329,45 @@ class TestForwardValues:
             tracemalloc.stop()
         padded = 52 * 130 * 130 * 8
         assert peak < padded + out.data.nbytes + band + (1 << 20)
+
+    # CONV_BLOCK 1 gives one-row bands wider than the block, 24 bands of 1 to
+    # 12 rows, 4096 one band; the first and last bands touch the top and
+    # bottom edges, and with one-row bands pad 2 and a 1x1 kernel give bands
+    # that read padding only
+    @pytest.mark.parametrize("block", [1, 24, 4096])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("pad_mode", ["zero", "wrap"])
+    def test_conv2d_bytes_match_whole_frame_padding(self, monkeypatch, pad_mode, stride, block):
+        monkeypatch.setattr(ad, "CONV_BLOCK", block)
+        rng = default_rng(block + 10 * stride)
+        x = rng.normal(size=(2, 9, 11))
+        for pad in (0, 1, 2):
+            for k in (1, 3, 4, 5):
+                w, b = rng.normal(size=(3, 2, k, k)), rng.normal(size=3)
+                xt, wt, bt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+                out = ad.conv2d(xt, wt, bt, stride=stride, pad=pad, pad_mode=pad_mode)
+                g = rng.normal(size=out.shape)
+                out._backward_fn(g)
+                want = whole_frame_pad_conv2d(x, w, b, g, stride, pad, pad_mode, block)
+                for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (pad, k)
+
+    def test_conv2d_holds_no_padded_input(self):
+        # no-grad 52->32 3x3 pad-1 at 128x128, as conv1 of a 128 px frame:
+        # beyond the output, one band of columns (with its 0.5 MiB gemm
+        # result) and one slab of 16 + 2 padded input rows; no padded frame
+        rng = default_rng(5)
+        x, w, b = Tensor(rng.normal(size=(52, 128, 128))), Tensor(rng.normal(size=(32, 52, 3, 3))), Tensor(np.zeros(32))
+        columns = 52 * 9 * ad.CONV_BLOCK * 8
+        slab = 52 * (ad.CONV_BLOCK // 128 + 2) * 130 * 8
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                out = ad.conv2d(x, w, b, pad=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + columns + slab + (1 << 20)
 
     def test_conv2d_rejects_bad_pad_mode_and_shapes(self):
         x, w, b = Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.zeros(2))

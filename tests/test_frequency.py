@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from tamperloc.core import Frame, PipelineError
+from tamperloc.core import Frame, PipelineError, affine_map_to_unit
 from tamperloc.frequency import (
     BAND_SPECS,
+    CLAMP_HI,
+    CLAMP_LO,
     FREQUENCY_LABELS,
     band_mask,
     band_reconstruct,
@@ -131,3 +133,10 @@ class TestFrequencyFeatures:
         f = Frame(default_rng(5).uniform(size=(3, 16, 16)))
         stack = frequency_features(f)
         assert stack.data.min() >= 0.0 and stack.data.max() <= 1.0
+
+    def test_bytes_equal_the_per_channel_loop(self):
+        # 37x45 is no multiple of any block size, so every transform pads
+        f = Frame(default_rng(8).uniform(size=(3, 37, 45)))
+        loop = np.stack([band_reconstruct(channel, b, band) for b, band in BAND_SPECS for channel in f.data])
+        want = affine_map_to_unit(loop, CLAMP_LO, CLAMP_HI)
+        assert frequency_features(f).data.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tamperloc.frequency import frequency_features
 from tamperloc.fusion import (
     FEATURE_VIEWS,
     INPUT_CHANNELS,
+    VARIANTS,
     ArchConfig,
     bce_loss,
     bce_loss_graph,
@@ -297,6 +299,18 @@ class TestBackward:
         assert set(report) == set(init_network(micro_arch(), 0).tensors)
         assert all(v < 1e-4 for v in report.values())
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradcheck_runs_on_one_blas_thread(self, monkeypatch, blas_threads, variant):
+        set_threads, seen, backward = ad._openblas()[1], [], ad.backward
+        monkeypatch.setattr(ad, "backward", lambda root: seen.append(blas_threads()) or backward(root))
+        reports = []
+        for threads in (1, 2):
+            set_threads(threads)
+            reports.append(finite_difference_check(seed=0, arch=micro_arch(variant)))
+            assert blas_threads() == threads
+        assert seen == [1, 1]
+        assert reports[0] == reports[1]
+
 
 class TestFeatureViews:
     def test_check_views_defaults_and_ordering(self):
@@ -368,6 +382,24 @@ class TestFeatureViews:
         got = predict(params, f)
         assert got.shape == (height, width)
         np.testing.assert_array_equal(got, forward(params, padded)[:height, :width])
+
+    def test_predict_holds_one_copy_of_the_stack(self):
+        # 192 px: the peak is conv1's ReLU, whose output and mask (10.1 MiB)
+        # sit beside the stack and conv1's output, inside the room of one
+        # band of columns, its gemm result and a slab, plus 2 MiB. A centred
+        # or padded copy of the stack would add 14.6 MiB.
+        f = random_frame(6, 192, 192)
+        params = init_network(ArchConfig(), 0)
+        predict(params, f)  # fills the texture view's spectrum cache for this size
+        tracemalloc.start()
+        try:
+            predict(params, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack, conv1 = 52 * 192 * 192 * 8, 32 * 192 * 192 * 8
+        band = (52 * 9 + 32) * ad.CONV_BLOCK * 8 + 52 * (ad.CONV_BLOCK // 192 + 2) * 194 * 8
+        assert peak < stack + conv1 + band + (2 << 20)
 
     def test_predict_rejects_non_multiview_arch(self):
         with pytest.raises(PipelineError, match="bad-arch"):
