@@ -10,10 +10,12 @@ array is freed as soon as no later op needs it.
 
 ``thread_policy`` is the program's one thread policy: it pins numpy's
 OpenBLAS to one thread for its block and lets ``share`` spread coarse work
-over one worker per core, at one level at a time. ``train`` shares a
-minibatch's samples, ``evaluate`` its frames, and ``predict`` on a single
-large frame the attention heads. Each worker builds its own tape, so tapes
-never share a ``Tensor``.
+over one worker per core, at one level at a time. The workers are the
+calling thread and the helpers of one pool per process, started once and
+reused. ``train`` shares a minibatch's samples, ``evaluate`` its frames, and
+``predict`` on a single frame its convolutions' forward bands and, on a large
+frame, the attention heads. Each worker builds its own tape, so tapes never
+share a ``Tensor``.
 
 The op set is deliberately small: what the fusion network needs, plus
 ``softmax``, which no model code calls; it is kept only because the
@@ -26,8 +28,8 @@ worker per core, each worker with its own tile in its own core's L2.
 ``conv2d`` likewise works through bands of output rows, building each band's
 im2col columns channel-major from one slab of padded input rows and rebuilding
 them in the backward pass, so beyond its inputs, output and gradients it holds
-one band of columns and one slab. Both recompute rather than store, as in
-Rabe & Staats (arXiv 2112.05682).
+one band of columns and one slab per worker. Both recompute rather than store,
+as in Rabe & Staats (arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import functools
 import glob
 import math
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -54,11 +56,13 @@ LAYER_NORM_EPS = 1e-12
 # the whole head at 256 tokens (64 px).
 ATTENTION_BLOCK = 2**17
 
-# Output pixels per conv2d band. Over the three stage-1 convolutions at 192
-# px, one BLAS thread, bands of 1024-2048 pixels timed within 2% of each
-# other, 4096 13% slower and 16384 35% slower (fwd+bwd 243, 273 and 357
-# ms); at 64 px 1024-8192 timed within noise. 2048 pixels of 52-channel
-# 3x3 columns are 7.3 MiB.
+# Output pixels per conv2d band in the backward pass; forward bands take
+# half as many, so two workers' forward bands hold one block of columns
+# between them. Over the three stage-1 convolutions at 192 px, one BLAS
+# thread, bands of 1024-2048 pixels timed within 2% of each other, 4096 13%
+# slower and 16384 35% slower (fwd+bwd 243, 273 and 357 ms); at 64 px
+# 1024-8192 timed within noise. 2048 pixels of 52-channel 3x3 columns are
+# 7.3 MiB.
 CONV_BLOCK = 2048
 
 
@@ -121,8 +125,8 @@ def thread_policy():
     While any thread is inside a policy, numpy's OpenBLAS runs one thread;
     the first to enter saves the old count and the last to leave restores
     it, on an exception too. The thread that enters may ``share`` work over
-    one worker per core; the workers, and a block nested in them, share
-    nothing more, so work is shared at one level at a time. On two cores,
+    one worker per core, itself and the pool's helpers; inside a job nothing
+    more is shared, so work is shared at one level at a time. On two cores,
     two sample workers each with one BLAS thread took a 64 px training step
     (batch 4) from 208 to 125 ms against samples one after another on one
     BLAS thread, while two workers each calling a two-thread BLAS made
@@ -169,26 +173,93 @@ def share(work, jobs) -> list:
     """``[work(job) for job in jobs]``, in job order.
 
     Inside a ``thread_policy`` block, the jobs run on min(jobs, workers)
-    threads started for this call; anywhere else, and in those threads, they
-    run inline. The first error in job order reaches the caller, and jobs
-    not yet started are dropped. Each worker records a tape exactly when
-    the caller would.
+    threads: the caller and helpers of the process's one pool, which start
+    when a call first needs them and then wait for the next call. Each
+    participant takes the next job not yet started, so the caller never
+    waits for a helper to pick the call up, only for jobs a helper has
+    started. Anywhere else, and inside a job, the jobs run inline. The first
+    error in job order reaches the caller, and jobs not yet started are
+    dropped. Every job tapes exactly when the caller would.
     """
     jobs = list(jobs)
     n = min(len(jobs), _state.workers)
     if n <= 1:
         return [work(job) for job in jobs]
-    grad_enabled = _state.grad_enabled
+    call = _Call(work, jobs)
+    _pool.hand_out(call, n - 1)
+    return call.finish()
 
-    def run(job):
-        _state.workers, _state.grad_enabled = 1, grad_enabled
-        return work(job)
 
-    pool = ThreadPoolExecutor(n, thread_name_prefix="tamperloc")
-    try:
-        return list(pool.map(run, jobs))
-    finally:
-        pool.shutdown(cancel_futures=True)
+class _Call:
+    """The jobs of one shared ``share`` call and their results."""
+
+    def __init__(self, work, jobs):
+        self.work, self.jobs, self.grad_enabled = work, jobs, _state.grad_enabled
+        self.count, self.results, self.errors = len(jobs), [None] * len(jobs), {}
+        self.next = self.running = 0
+        self.cond = threading.Condition()
+
+    def take(self):
+        """Run jobs until none is left to start or one has failed, with the
+        taping of the caller and sharing nothing further."""
+        saved = _state.workers, _state.grad_enabled
+        try:
+            while True:
+                with self.cond:
+                    if self.errors or self.next == self.count:
+                        return
+                    i, self.next, self.running = self.next, self.next + 1, self.running + 1
+                _state.workers, _state.grad_enabled = 1, self.grad_enabled
+                try:
+                    self.results[i] = self.work(self.jobs[i])
+                except BaseException as exc:  # raised in the caller by finish()
+                    with self.cond:
+                        self.errors[i] = exc
+                finally:
+                    with self.cond:
+                        self.running -= 1
+                        self.cond.notify_all()
+        finally:
+            _state.workers, _state.grad_enabled = saved
+
+    def finish(self) -> list:
+        """The caller's part: take jobs, wait for those that helpers started,
+        then return the results or raise the first error in job order."""
+        self.take()
+        with self.cond:
+            self.cond.wait_for(lambda: self.running == 0)
+            self.next = self.count  # a helper that picks the call up late finds nothing to start
+            results, errors = self.results, self.errors
+            self.work = self.jobs = self.results = self.errors = None
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+
+class _Pool:
+    """The process's helper threads, started as calls first need them: at
+    most ``cores() - 1`` under the thread policy. A helper takes the next
+    call handed out and works on it until it has no job left to start."""
+
+    def __init__(self):
+        self.calls = queue.SimpleQueue()
+        self.lock = threading.Lock()
+        self.helpers = 0
+
+    def hand_out(self, call: _Call, helpers: int):
+        with self.lock:
+            for i in range(self.helpers, helpers):
+                threading.Thread(target=self.serve, name=f"tamperloc-{i}", daemon=True).start()
+            self.helpers = max(self.helpers, helpers)
+        for _ in range(helpers):
+            self.calls.put(call)
+
+    def serve(self):
+        while True:
+            self.calls.get().take()
+
+
+_pool = _Pool()
 
 
 class Tensor:
@@ -321,7 +392,18 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), back)
 
 
-def relu(x: Tensor) -> Tensor:
+def relu(x: Tensor, overwrite: bool = False) -> Tensor:
+    """max(x, 0), with +0.0 for every x that is not above zero (NaN too).
+
+    With ``overwrite``, a pass that records no tape for ``x`` writes the
+    result over ``x.data``, which the caller must alone hold, and keeps no
+    mask: ``fmax`` maps NaN and negatives to 0.0, and adding 0.0 turns -0.0
+    into +0.0, so the bytes are those of the copy.
+    """
+    if overwrite and not (_state.grad_enabled and x.requires_grad):
+        d = np.fmax(x.data, 0.0, out=x.data)
+        d += 0.0
+        return Tensor(d)
     mask = x.data > 0.0
 
     def back(g):
@@ -527,15 +609,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
     ``pad_mode`` is "zero" for training and "wrap" for the periodic test
     harness used to probe translation consistency.
 
-    Output rows are processed in bands of ``max(1, CONV_BLOCK // wo)`` rows.
-    Each band's channel-major columns (Cin*kh*kw, band*wo) are built, used in
-    one gemm and dropped; the backward pass rebuilds them for the weight
-    gradient instead of storing them. Zero padding is applied per band, in one
-    (Cin, (band-1)*stride + kh, W + 2*pad) slab of the band's input rows, so
-    no padded copy of the input exists ("wrap" still pads it whole). Beyond
-    the inputs, the output and the gradients, forward and backward hold one
-    slab and O((Cin*kh*kw + Cout) * max(CONV_BLOCK, wo)) floats at a time,
-    never the whole-frame (H*W, Cin*kh*kw) im2col matrix.
+    Output rows are processed in bands of ``max(1, CONV_BLOCK // 2 // wo)``
+    rows forward and ``max(1, CONV_BLOCK // wo)`` rows backward. Each band's
+    channel-major columns (Cin*kh*kw, band*wo) are built, used in one gemm
+    and dropped (a 1x1 convolution's are a view of its input); the backward
+    pass rebuilds them for the weight gradient instead of storing them. Zero
+    padding is applied per band, in one (Cin, (band-1)*stride + kh, W +
+    2*pad) slab of the band's input rows, so no padded copy of the input
+    exists ("wrap" still pads it whole).
+
+    The forward bands are shared over min(bands, workers) threads
+    (``share``): each works through every n-th band in a slab and a column
+    buffer of its own, allocated by the caller, and its gemm writes straight
+    into the output. Band heights never depend on the worker count, because
+    OpenBLAS gives a column different bytes in gemms of different widths; so
+    neither do the bytes. Inside a sample worker of ``train`` the bands run
+    inline. Beyond the inputs, the output and the gradients, forward and
+    backward hold one slab and O(Cin*kh*kw * max(CONV_BLOCK, wo)) floats
+    per worker at a time, never the whole-frame (H*W, Cin*kh*kw) im2col
+    matrix.
     """
     if pad_mode not in ("zero", "wrap"):
         raise PipelineError("bad-pad-mode", pad_mode)
@@ -552,38 +644,60 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     wmat = wd.reshape(cout, -1)
-    band = max(1, CONV_BLOCK // wo)
-    span = (band - 1) * stride + kh  # padded rows that a whole band reads
 
-    def bands():
-        """(first output row, output pixels, padded input rows read) of each band."""
-        slab = np.zeros((cin, min(span, hp), wp)) if margin else None
-        for lo in range(0, ho, band):
-            top, n = lo * stride - margin, min(span, hp - lo * stride)
-            if slab is None:
+    def slab(band):
+        """Zeros for the padded input rows of a band of ``band`` rows, or None
+        where bands read their rows straight from ``src``."""
+        return np.zeros((cin, min((band - 1) * stride + kh, hp), wp)) if margin else None
+
+    def bands(band, lows, rows_buf):
+        """(first output row, output pixels, padded input rows read) of the
+        bands of ``band`` rows that start at each row of ``lows``, in order."""
+        for lo in lows:
+            top, n = lo * stride - margin, min((band - 1) * stride + kh, hp - lo * stride)
+            if rows_buf is None:
                 rows = src[:, top : top + n]
             else:  # rows above src are still zero: bands run downwards from a zero slab
                 a, z = max(top, 0), max(min(top + n, h), top, 0)
-                rows = slab[:, :n]
+                rows = rows_buf[:, :n]
                 rows[:, a - top : z - top, margin:-margin] = src[:, a:z]
                 rows[:, z - top :] = 0.0
             yield lo, slice(lo * wo, (lo + band) * wo), rows
 
-    def columns(rows):
+    def columns(rows, cols_buf=None):
         win = sliding_window_view(rows, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # (cin, nb, wo, kh, kw)
-        return win.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, -1)
+        win = win.transpose(0, 3, 4, 1, 2)
+        shape = (cin * kh * kw, win.shape[3] * wo)
+        try:
+            return win.reshape(shape, copy=False)  # a 1x1 conv's columns are a view of its input rows
+        except ValueError:
+            if cols_buf is None:
+                return win.reshape(shape)
+            cols = cols_buf[: shape[0] * shape[1]].reshape(shape)
+            np.copyto(cols.reshape(win.shape), win)
+            return cols
 
     out = np.empty((cout, ho * wo))
-    for _, px, rows in bands():
-        out[:, px] = wmat @ columns(rows)
-    out += b.data[:, None]
+    band = max(1, CONV_BLOCK // 2 // wo)
+    parts = min(max(1, _state.workers), -(-ho // band))
+    flat = kh == kw == stride == 1  # columns are views of the input rows: no buffer
+
+    def forward_bands(job):
+        first, rows_buf, cols_buf = job
+        for _, px, rows in bands(band, range(first * band, ho, parts * band), rows_buf):
+            np.matmul(wmat, columns(rows, cols_buf), out=out[:, px])
+            out[:, px] += b.data[:, None]
+
+    cols_size = cin * kh * kw * min(band, ho) * wo
+    share(forward_bands, [(i, slab(band), None if flat else np.empty(cols_size)) for i in range(parts)])
 
     def back(g):
         gmat = g.reshape(cout, -1)  # (cout, ho*wo)
         _accumulate(b, gmat.sum(axis=1))
         dw = np.zeros_like(wmat)
         dpad = np.zeros((cin, hp, wp)) if x.requires_grad else None
-        for lo, px, rows in bands():
+        band = max(1, CONV_BLOCK // wo)
+        for lo, px, rows in bands(band, range(0, ho, band), slab(band)):
             gb = gmat[:, px]
             dw += gb @ columns(rows).T
             if dpad is None:

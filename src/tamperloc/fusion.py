@@ -266,7 +266,8 @@ def _forward_graph(
     if the caller ``owned`` it or it was padded, else into a new array.
     Pre-activations feeding a ReLU are appended to ``relu_trace`` when it is a
     list, so the finite-difference check can reject points where a kink sits
-    inside the probe interval.
+    inside the probe interval; without a trace, a pass that records no tape
+    lets each conv layer's ReLU write over that layer's output.
     """
     cfg = p.arch
     if x.ndim != 3 or x.shape[0] != cfg.input_channels:
@@ -294,7 +295,7 @@ def _forward_graph(
             t = conv(layer.name, t, layer.stride, layer.k // 2)
             if relu_trace is not None:
                 relu_trace.append(t)
-            t = ad.relu(t)
+            t = ad.relu(t, overwrite=relu_trace is None)  # t is this conv's own output
         else:
             t = conv(layer.name, t, layer.stride)
 
@@ -323,8 +324,8 @@ def forward(params: ParamStore, x) -> np.ndarray:
 
     Runs without a tape: nothing is kept for a backward pass. Runs under the
     thread policy, so the bytes do not depend on the BLAS threads the
-    caller's environment asks for, and a large frame's attention heads share
-    the cores.
+    caller's environment asks for, and the convolutions' forward bands and a
+    large frame's attention heads share the cores.
     """
     with ad.thread_policy(), ad.no_grad():
         _, probs = _forward_graph(params, _stack_data(x), "zero")
@@ -378,7 +379,7 @@ def predict(params: ParamStore, f: Frame, views: "Iterable[str] | None" = None) 
 
     The extraction runs under the thread policy too: a BLAS call at the
     default thread count wakes OpenBLAS's own threads, which then spin on
-    the cores the attention workers need.
+    the cores the convolution and attention workers need.
     """
     if params.arch.input_channels != INPUT_CHANNELS:
         raise PipelineError("bad-arch", "predict needs the full multi-view input layout")

@@ -1,5 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from tamperloc import autodiff as ad
@@ -32,13 +30,15 @@ def blas_threads():
 
 @pytest.fixture
 def pool_tasks(monkeypatch):
-    """The tasks given to the thread pools that ``ad.share`` starts, in order."""
-    tasks = []
+    """The number of jobs that each ``ad.share`` call hands out to the
+    caller and the pool's helpers, in call order; calls that run inline
+    hand out none and are not listed."""
+    counts = []
+    hand_out = ad._pool.hand_out
 
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            tasks.append(fn)
-            return super().submit(fn, *args, **kwargs)
+    def counting(call, helpers):
+        counts.append(call.count)
+        hand_out(call, helpers)
 
-    monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
-    return tasks
+    monkeypatch.setattr(ad._pool, "hand_out", counting)
+    return counts

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -76,21 +77,22 @@ def whole_frame_pad_conv2d(x, w, b, g, stride, pad, pad_mode, block):
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     wmat = w.reshape(cout, -1)
-    band = max(1, block // wo)
-    bands = [(lo, slice(lo * wo, (lo + band) * wo)) for lo in range(0, ho, band)]
 
-    def columns(lo):
+    def bands(band):
+        return [(lo, slice(lo * wo, (lo + band) * wo), band) for lo in range(0, ho, band)]
+
+    def columns(lo, band):
         return win[:, lo : lo + band].transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, -1)
 
     out = np.empty((cout, ho * wo))
-    for lo, px in bands:
-        out[:, px] = wmat @ columns(lo)
+    for lo, px, band in bands(max(1, block // 2 // wo)):  # forward bands are half a block
+        out[:, px] = wmat @ columns(lo, band)
     out += b[:, None]
     gmat = g.reshape(cout, -1)
     dw, dpad = np.zeros_like(wmat), np.zeros_like(padded)
-    for lo, px in bands:
+    for lo, px, band in bands(max(1, block // wo)):
         gb = gmat[:, px]
-        dw += gb @ columns(lo).T
+        dw += gb @ columns(lo, band).T
         nb = min(band, ho - lo)
         dcols = (wmat.T @ gb).reshape(cin, kh, kw, nb, wo)
         top = lo * stride
@@ -205,7 +207,7 @@ class TestForwardValues:
         with policy(2):
             peak, out_bytes = self.attention_peak(heads, n, 16)
         tile = ad.ATTENTION_BLOCK // n * n * 8
-        assert len(pool_tasks) == 2
+        assert pool_tasks == [2]  # two head groups: the caller runs one, a helper the other
         assert peak < 2 * (tile + (64 << 10)) + out_bytes + heads * n * 8 + (64 << 10)
 
     def test_attention_tape_keeps_only_the_log_sum_exp(self):
@@ -368,6 +370,43 @@ class TestForwardValues:
         finally:
             tracemalloc.stop()
         assert peak < out.data.nbytes + columns + slab + (1 << 20)
+
+    # with CONV_BLOCK 6 * wo, forward bands of three rows: 2-8 bands on a
+    # 23 x 19 input, dealt out to 1, 2 or 3 participants
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_conv2d_forward_bytes_do_not_depend_on_the_participants(self, monkeypatch, policy, pool_tasks, stride, layout):
+        rng = default_rng(stride)
+        x = rng.normal(size=(3, 23, 19)) if layout == "contiguous" else rng.normal(size=(23, 19, 3)).transpose(2, 0, 1)
+        for k, pad in ((1, 0), (3, 1), (4, 0), (4, 2)):
+            w, b = Tensor(rng.normal(size=(4, 3, k, k))), Tensor(rng.normal(size=4))
+            ho, wo = ((n + 2 * pad - k) // stride + 1 for n in (23, 19))
+            monkeypatch.setattr(ad, "CONV_BLOCK", 6 * wo)
+            got = set()
+            for parts in (1, 2, 3):
+                del pool_tasks[:]
+                with policy(parts), ad.no_grad():
+                    got.add(ad.conv2d(Tensor(x), w, b, stride=stride, pad=pad).data.tobytes())
+                jobs = min(parts, -(-ho // 3))
+                assert pool_tasks == ([jobs] if jobs > 1 else []), (k, pad, parts)
+            with policy(1):  # OpenBLAS's thread count moves gemm bytes
+                want = whole_frame_pad_conv2d(x, w.data, b.data, np.zeros((4, ho, wo)), stride, pad, "zero", 6 * wo)[0]
+            assert got == {want.tobytes()}, (k, pad)
+
+    def test_relu_overwrite_gives_the_bytes_of_the_copy(self):
+        # fmax may keep -0.0: numpy 2.4's keeps it on the element after the
+        # last full block of eight, as on the last of these 1009
+        special = [0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+        x = np.concatenate([special, default_rng(3).normal(size=999), [-0.0]])
+        want = ad.relu(Tensor(x.copy())).data.tobytes()
+        with ad.no_grad():
+            data = x.copy()
+            got = ad.relu(Tensor(data, requires_grad=True), overwrite=True)
+        assert got.data.tobytes() == want and np.shares_memory(got.data, data)
+        taped = Tensor(x.copy(), requires_grad=True)
+        out = ad.relu(taped, overwrite=True)  # a tape is recorded: x is left as it is
+        assert out.requires_grad and out.data.tobytes() == want
+        assert taped.data.tobytes() == x.tobytes()
 
     def test_conv2d_rejects_bad_pad_mode_and_shapes(self):
         x, w, b = Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.zeros(2))
@@ -561,10 +600,10 @@ class TestAttentionWorkers:
             monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
         with policy(1):
             inline = self.output_and_gradient_bytes(heads, n, 8, seed=n)
-        assert len(pool_tasks) == 0
+        assert pool_tasks == []
         with policy(2):
             threaded = self.output_and_gradient_bytes(heads, n, 8, seed=n)
-        assert len(pool_tasks) == 4  # two head groups forward, two backward
+        assert pool_tasks == [2, 2]  # two head groups forward, two backward
         assert threaded == inline
 
     @pytest.mark.parametrize(
@@ -593,13 +632,10 @@ class TestAttentionWorkers:
             assert got == workers
 
     @pytest.mark.parametrize("heads, n", [(4, 256), (1, 600)], ids=["one-tile-per-head", "one-head"])
-    def test_inline_when_there_is_nothing_to_share(self, monkeypatch, policy, heads, n):
-        def refuse(*args, **kwargs):
-            raise AssertionError("attention started a thread pool")
-
-        monkeypatch.setattr(ad, "ThreadPoolExecutor", refuse)
+    def test_inline_when_there_is_nothing_to_share(self, policy, pool_tasks, heads, n):
         with policy(2):
             self.output_and_gradient_bytes(heads, n, 8, seed=1)
+        assert pool_tasks == []
 
 
 class TestNoGrad:
@@ -735,9 +771,98 @@ class TestThreadPolicy:
         with policy(2):
             rows = ad.share(outer, range(3))
         assert [[(j, i) for j, i, _ in row] for row in rows] == [[(j, 0), (j, 1)] for j in range(3)]
-        assert all(name.startswith("tamperloc") for row in rows for _, _, name in row)
-        assert len(pool_tasks) == 3  # the inner calls ran inline on their worker
+        # each job's inner call ran inline on the thread that took the job:
+        # the caller, or a helper of the pool
+        names = [{name for _, _, name in row} for row in rows]
+        assert all(len(row) == 1 for row in names)
+        assert all(name == threading.current_thread().name or name.startswith("tamperloc-") for name in set.union(*names))
+        assert pool_tasks == [3]
         assert ad.share(outer, range(3)) == [[(j, i, threading.current_thread().name) for i in range(2)] for j in range(3)]
+
+    def test_the_caller_takes_jobs_beside_a_helper(self, policy, pool_tasks):
+        # two jobs that each wait for the other can only finish on two
+        # threads at once; a call with two jobs hands out one helper
+        both = threading.Barrier(2, timeout=30)
+
+        def work(job):
+            both.wait()
+            return job, threading.current_thread().name
+
+        with policy(2):
+            rows = ad.share(work, range(2))
+        assert [job for job, _ in rows] == [0, 1]
+        names = {name for _, name in rows} - {threading.current_thread().name}
+        assert len(names) == 1 and names.pop().startswith("tamperloc-")
+        assert pool_tasks == [2]
+
+    def test_the_caller_runs_every_job_no_helper_started(self, monkeypatch, policy):
+        monkeypatch.setattr(ad._pool, "hand_out", lambda call, helpers: None)
+        with policy(2):
+            assert ad.share(lambda job: (job, threading.current_thread().name), range(3)) == [
+                (job, threading.current_thread().name) for job in range(3)
+            ]
+
+    def test_jobs_come_back_in_order_and_the_first_error_in_job_order_wins(self, policy):
+        def slow_last(job):
+            time.sleep(0.002 * (8 - job))
+            return job * job
+
+        started = []
+
+        def fail_two(job):
+            started.append(job)
+            if job == 0:
+                time.sleep(0.2)  # job 1 fails first
+                raise PipelineError("bad-item", "job 0")
+            raise PipelineError("bad-item", f"job {job}")
+
+        with policy(2):
+            assert ad.share(slow_last, range(8)) == [job * job for job in range(8)]
+            with pytest.raises(PipelineError, match="bad-item: job 0"):
+                ad.share(fail_two, range(10))
+        assert set(started) <= {0, 1}  # no job starts after an error
+
+    def test_share_restores_the_callers_workers_and_taping(self, policy):
+        def flip(_):
+            seen = ad._state.workers, ad._state.grad_enabled
+            ad._state.grad_enabled = not ad._state.grad_enabled
+            return seen
+
+        def fail(job):
+            ad._state.workers = 5
+            raise PipelineError("bad-item", f"job {job}")
+
+        with policy(2):
+            with ad.no_grad():
+                assert ad.share(flip, range(4)) == [(1, False)] * 4
+                assert (ad._state.workers, ad._state.grad_enabled) == (2, False)
+            assert ad.share(flip, range(4)) == [(1, True)] * 4
+            with pytest.raises(PipelineError):
+                ad.share(fail, range(2))
+            assert (ad._state.workers, ad._state.grad_enabled) == (2, True)
+
+    def test_threads_that_share_at_once_all_finish(self, policy):
+        # three threads at once, each sharing over itself and two helpers
+        results = {}
+
+        def run(name):
+            with ad.thread_policy():
+                results[name] = [ad.share(lambda job: float(np.sum(np.full(1000, job))), range(6)) for _ in range(100)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with policy(3):
+                pass  # cores() stays patched to 3 for the threads below
+            threads = [threading.Thread(target=run, args=(name,)) for name in "abc"]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {name: [[1000.0 * job for job in range(6)]] * 100 for name in "abc"}
 
     def test_workers_tape_exactly_when_the_caller_does(self, policy):
         x = Tensor(np.ones(2), requires_grad=True)

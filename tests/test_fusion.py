@@ -17,6 +17,7 @@ from tamperloc.fusion import (
     INPUT_CHANNELS,
     VARIANTS,
     ArchConfig,
+    _forward_graph,
     bce_loss,
     bce_loss_graph,
     build_feature_stack,
@@ -214,6 +215,18 @@ class TestForward:
         x = default_rng(14).uniform(0.0, 1.0, (3, 16, 16))
         assert forward(params, x).tobytes() == forward_graph(params, x)[1].data.tobytes()
 
+    @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_cnn"])
+    def test_a_no_tape_pass_keeps_the_traced_pre_activations(self, variant):
+        # a conv layer's ReLU writes over the conv output only when no trace
+        # holds it; the traced pass and the plain one give the same bytes
+        params = init_network(micro_arch(variant), 8)
+        x = default_rng(15).uniform(0.0, 1.0, (3, 16, 16))
+        trace = []
+        with ad.no_grad():
+            _, probs = _forward_graph(params, x, "zero", trace)
+        assert all(np.any(t.data < 0.0) for t in trace)
+        assert probs.data.tobytes() == forward(params, x).tobytes()
+
     @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_only", "vit_cnn"])
     def test_wrap_padding_translation_consistency(self, variant):
         # a 4-pixel circular shift of the input moves pre-upsample logits one token
@@ -383,11 +396,13 @@ class TestFeatureViews:
         assert got.shape == (height, width)
         np.testing.assert_array_equal(got, forward(params, padded)[:height, :width])
 
-    def test_predict_holds_one_copy_of_the_stack(self):
-        # 192 px: the peak is conv1's ReLU, whose output and mask (10.1 MiB)
-        # sit beside the stack and conv1's output, inside the room of one
-        # band of columns, its gemm result and a slab, plus 2 MiB. A centred
-        # or padded copy of the stack would add 14.6 MiB.
+    def test_predict_holds_one_copy_of_the_stack(self, monkeypatch):
+        # 192 px on two cores: the peak is conv1, whose output sits beside the
+        # stack while each of the two participants holds the slab and the
+        # column buffer of a forward band (half a block), plus 1.5 MiB. The ReLU
+        # writes over conv1's output and keeps no mask; a centred or padded
+        # copy of the stack would add 14.6 MiB.
+        monkeypatch.setattr(ad, "cores", lambda: 2)
         f = random_frame(6, 192, 192)
         params = init_network(ArchConfig(), 0)
         predict(params, f)  # fills the texture view's spectrum cache for this size
@@ -398,8 +413,9 @@ class TestFeatureViews:
         finally:
             tracemalloc.stop()
         stack, conv1 = 52 * 192 * 192 * 8, 32 * 192 * 192 * 8
-        band = (52 * 9 + 32) * ad.CONV_BLOCK * 8 + 52 * (ad.CONV_BLOCK // 192 + 2) * 194 * 8
-        assert peak < stack + conv1 + band + (2 << 20)
+        rows = ad.CONV_BLOCK // 2 // 192
+        band = (52 * 9 * rows * 192 + 52 * (rows + 2) * 194) * 8
+        assert peak < stack + conv1 + 2 * band + (3 << 19)
 
     def test_predict_rejects_non_multiview_arch(self):
         with pytest.raises(PipelineError, match="bad-arch"):

@@ -247,12 +247,17 @@ class TestSharedFrames:
         assert [row["id"] for row in json.loads(reports[1])["per_frame"]] == [f"item_{i}" for i in range(5)]
 
     def test_attention_runs_inline_while_frames_are_shared(self, monkeypatch, policy, pool_tasks):
-        # 32 px frames have 64 tokens: tiles of 8 rows give every head 8 tiles
+        # 32 px frames have 64 tokens: tiles of 8 rows give every head 8
+        # tiles; bands of 4 * 64 pixels give conv1, conv2 and both fuse1
+        # convolutions more than one band per worker
         monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8 * 64)
+        monkeypatch.setattr(ad, "CONV_BLOCK", 4 * 64)
         items, params = items_with_masks(3, size=32), init_network(ArchConfig(), 3)
         with policy(2):
             evaluate(params, items)
-        assert len(pool_tasks) == 3  # the frames
+        assert pool_tasks == [3]  # the frames; their bands and heads ran inline
         with policy(2):
             predict(params, items[0][1])
-        assert len(pool_tasks) == 3 + 2 * 2  # one frame alone: two head groups in each encoder layer
+        # one frame alone: two band groups in each of those four convolutions,
+        # then two head groups in each encoder layer
+        assert pool_tasks == [3] + [2] * 4 + [2] * 2

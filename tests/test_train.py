@@ -281,12 +281,16 @@ class TestSharedSamples:
         assert sorted(extracted) == sorted(id(frame) for frame, _ in items)
 
     def test_attention_runs_inline_while_samples_are_shared(self, monkeypatch, policy, pool_tasks):
-        # 32 px frames have 64 tokens: tiles of 8 rows give every head 8 tiles
+        # 32 px frames have 64 tokens: tiles of 8 rows give every head 8
+        # tiles; bands of 4 * 64 pixels give conv1, conv2 and both fuse1
+        # convolutions more than one band per worker
         monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8 * 64)
+        monkeypatch.setattr(ad, "CONV_BLOCK", 4 * 64)
         with policy(2):
             train(TrainConfig(steps=3, batch_size=2), ArchConfig(), balanced_items(2))
-        assert len(pool_tasks) == 3 * 2  # the samples, two a step
+        assert pool_tasks == [2] * 3  # the samples, two a step; their bands and heads ran inline
         with policy(2):
             train(TrainConfig(steps=1, batch_size=1), ArchConfig(), balanced_items(1))
-        # one sample alone: two head groups in each encoder layer, forward and back
-        assert len(pool_tasks) == 3 * 2 + 2 * 2 * 2
+        # one sample alone: two band groups in each of those four forward
+        # convolutions, then two head groups in each encoder layer, forward and back
+        assert pool_tasks == [2] * 3 + [2] * 4 + [2] * 2 * 2
