@@ -12,10 +12,10 @@ array is freed as soon as no later op needs it.
 OpenBLAS to one thread for its block and lets ``share`` spread coarse work
 over one worker per core, at one level at a time. The workers are the
 calling thread and the helpers of one pool per process, started once and
-reused. ``train`` shares a minibatch's samples, ``evaluate`` its frames, and
-``predict`` on a single frame its convolutions' forward bands and, on a large
-frame, the attention heads. Each worker builds its own tape, so tapes never
-share a ``Tensor``.
+reused. ``train`` shares a minibatch's samples, ``evaluate`` its frames,
+``build_feature_stack`` a frame's views, and ``predict`` on a single frame
+its convolutions' forward bands and, on a large frame, the attention heads.
+Each worker builds its own tape, so tapes never share a ``Tensor``.
 
 The op set is deliberately small: what the fusion network needs, plus
 ``softmax``, which no model code calls; it is kept only because the

@@ -108,31 +108,36 @@ class Kernel2D:
         return self.taps.shape[0]
 
 
-def apply_kernel_bank(data: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+def apply_kernel_bank(data: np.ndarray, kernels: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     """Cross-correlate every channel of ``data`` with every kernel.
 
     ``data`` is ``(C, H, W)``, ``kernels`` is ``(K, k, k)`` with one shared odd
-    size; returns ``(K, C, H, W)`` with reflect padding. Direct sums keep small
+    size; returns ``(K, C, H, W)`` with reflect padding, written into ``out``
+    when it is given and into a new array otherwise. Direct sums keep small
     integer kernels exact. A kernel larger than the image is
     ``kernel-exceeds-image``.
     """
     side = kernels.shape[-1]
     if side > data.shape[-2] or side > data.shape[-1]:
         raise PipelineError("kernel-exceeds-image", f"kernel {side}x{side} does not fit {data.shape[-2]}x{data.shape[-1]}")
-    return np.stack([ndimage.correlate(data, k[np.newaxis], mode="mirror") for k in kernels])
+    out = np.empty((len(kernels),) + data.shape) if out is None else out
+    for k, plane in zip(kernels, out):
+        ndimage.correlate(data, k[np.newaxis], output=plane, mode="mirror")
+    return out
 
 
-def affine_map_to_unit(data: np.ndarray, lo, hi) -> np.ndarray:
+def affine_map_to_unit(data: np.ndarray, lo, hi, out: "np.ndarray | None" = None) -> np.ndarray:
     """Clamp ``data`` to [lo, hi] and map that interval onto [0, 1].
 
     ``lo`` and ``hi`` are scalars or arrays broadcasting against ``data``,
     e.g. ``(K, 1, 1)`` for one bound pair per channel; any pair with
-    ``lo >= hi`` is ``bad-range``. Returns a fresh array, ``data`` is untouched.
+    ``lo >= hi`` is ``bad-range``. The result goes into ``out`` when it is
+    given (``data`` itself is allowed) and into a new array otherwise.
     """
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     if not np.all(lo < hi):
         raise PipelineError("bad-range", f"need lo < hi, got [{lo}, {hi}]")
-    out = np.clip(data, lo, hi)
+    out = np.clip(data, lo, hi, out=out)
     out -= lo
     out /= hi - lo
     return out

@@ -22,7 +22,10 @@ _BOUNDS = np.array([4.0, 4.0, 4.0, 8.0])[:, None, None, None]
 EDGE_LABELS = tuple(f"{kind}_{c}" for kind in ("sobel_x", "sobel_y", "lap4", "lap8") for c in ("R", "G", "B"))
 
 
-def edge_features(f: Frame) -> FeatureStack:
-    """The 12-channel edge view: Sobel x, Sobel y, Laplacian-4, Laplacian-8 of R, G, B."""
-    resp = affine_map_to_unit(apply_kernel_bank(f.data, _BANK), -_BOUNDS, _BOUNDS)  # (4, 3, H, W)
-    return FeatureStack(resp.reshape(-1, f.height, f.width), EDGE_LABELS)
+def edge_features(f: Frame, out: "np.ndarray | None" = None) -> FeatureStack:
+    """The 12-channel edge view: Sobel x, Sobel y, Laplacian-4, Laplacian-8 of R, G, B,
+    written into ``out`` (C-contiguous (12, H, W); a new array when None)."""
+    out = np.empty((len(EDGE_LABELS), f.height, f.width)) if out is None else out
+    resp = apply_kernel_bank(f.data, _BANK, out.reshape(4, 3, f.height, f.width, copy=False))
+    affine_map_to_unit(resp, -_BOUNDS, _BOUNDS, out=resp)
+    return FeatureStack(out, EDGE_LABELS)

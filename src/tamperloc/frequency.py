@@ -83,12 +83,15 @@ def band_reconstruct(channel: np.ndarray, block_size: int, band: str) -> np.ndar
     return blockwise_dct(channel, block_size, lambda coeffs: coeffs * mask)
 
 
-def frequency_features(f: Frame) -> FeatureStack:
+def frequency_features(f: Frame, out: "np.ndarray | None" = None) -> FeatureStack:
     """12 channels: (32, low), (16, mid), (8, high), (4, full) per RGB channel,
     one transform of all three channels per block size.
 
     Reconstructions are clamped to [-1, 2] (band filtering can overshoot the
-    input range) and mapped affinely onto [0, 1].
+    input range) and mapped affinely onto [0, 1]. Written into ``out``
+    ((12, H, W); a new array when None).
     """
-    recon = np.concatenate([blockwise_dct(f.data, b, lambda c, m=band_mask(b, band): c * m) for b, band in BAND_SPECS])
-    return FeatureStack(affine_map_to_unit(recon, CLAMP_LO, CLAMP_HI), FREQUENCY_LABELS)
+    out = np.empty((len(FREQUENCY_LABELS), f.height, f.width)) if out is None else out
+    for i, (b, band) in enumerate(BAND_SPECS):
+        out[3 * i : 3 * i + 3] = blockwise_dct(f.data, b, lambda c, m=band_mask(b, band): c * m)
+    return FeatureStack(affine_map_to_unit(out, CLAMP_LO, CLAMP_HI, out=out), FREQUENCY_LABELS)

@@ -44,6 +44,10 @@ _VIEW_EXTRACTORS = {
 
 STACK_LABELS = RGB_LABELS + TEXTURE_LABELS + EDGE_LABELS + SRM_LABELS + FREQUENCY_LABELS
 INPUT_CHANNELS = len(STACK_LABELS)
+_SLOTS = {  # each view's channels of the stack
+    view: slice(STACK_LABELS.index(labels[0]), STACK_LABELS.index(labels[-1]) + 1)
+    for view, (_, labels) in _VIEW_EXTRACTORS.items()
+}
 
 PROB_CLAMP = 1e-7
 
@@ -364,14 +368,20 @@ def build_feature_stack(f: Frame, views: "Iterable[str] | None" = None) -> Featu
     """Fixed 52-channel layout: RGB plus the four views in canonical order.
 
     Disabled views keep their channel slots, zero-filled, so one trained
-    network accepts any switch combination.
+    network accepts any switch combination. The stack is allocated once and
+    the chosen views write into their slots as ``autodiff.share`` jobs under
+    the thread policy, the two long ones first, so beyond the stack each worker
+    holds one view's temporaries; inside a shared job (a sample, a frame) they run inline.
     """
     chosen = check_views(views)
-    parts = [f.data]
-    for view in FEATURE_VIEWS:
-        extractor, labels = _VIEW_EXTRACTORS[view]
-        parts.append(extractor(f).data if view in chosen else np.zeros((len(labels), f.height, f.width)))
-    return FeatureStack(np.concatenate(parts), STACK_LABELS)
+    stack = np.empty((INPUT_CHANNELS, f.height, f.width))
+    stack[: len(RGB_LABELS)] = f.data
+    for view in set(FEATURE_VIEWS) - set(chosen):
+        stack[_SLOTS[view]] = 0.0
+    with ad.thread_policy():
+        jobs = [v for v in ("texture", "frequency", "edge", "pixel") if v in chosen]  # long ones first
+        ad.share(lambda view: _VIEW_EXTRACTORS[view][0](f, out=stack[_SLOTS[view]]), jobs)
+    return FeatureStack(stack, STACK_LABELS)
 
 
 def predict(params: ParamStore, f: Frame, views: "Iterable[str] | None" = None) -> np.ndarray:

@@ -37,14 +37,15 @@ SRM_KERNELS = (Kernel2D(_K1), Kernel2D(_K2), Kernel2D(_K3))
 SRM_LABELS = tuple(f"srm{i}_{c}" for i in (1, 2, 3) for c in ("R", "G", "B"))
 
 
-def srm_features(f: Frame) -> FeatureStack:
+def srm_features(f: Frame, out: "np.ndarray | None" = None) -> FeatureStack:
     """Nine channels: K1, K2, K3 residuals of R, G, B (kernel-major order).
 
     Residuals are computed on the 0-255 scale, clamped to +-2 and mapped
     affinely onto [0, 1]; a flat input therefore lands exactly on 0.5.
+    Written into ``out`` (C-contiguous (9, H, W); a new array when None).
     """
-    scaled = f.data * 255.0
+    out = np.empty((len(SRM_LABELS), f.height, f.width)) if out is None else out
     bank = np.stack([k.taps for k in SRM_KERNELS])
-    resp = apply_kernel_bank(scaled, bank)  # (3 kernels, 3 channels, H, W)
-    resp = affine_map_to_unit(resp, -RESIDUAL_CLAMP, RESIDUAL_CLAMP)
-    return FeatureStack(resp.reshape(-1, f.height, f.width), SRM_LABELS)
+    resp = apply_kernel_bank(f.data * 255.0, bank, out.reshape(3, 3, f.height, f.width, copy=False))
+    affine_map_to_unit(resp, -RESIDUAL_CLAMP, RESIDUAL_CLAMP, out=resp)
+    return FeatureStack(out, SRM_LABELS)

@@ -106,7 +106,7 @@ def _bank_spectrum(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return spectrum, bounds
 
 
-def extract_texture(f: Frame) -> FeatureStack:
+def extract_texture(f: Frame, out: "np.ndarray | None" = None) -> FeatureStack:
     """16-channel texture view: the Gabor bank correlated with luminance.
 
     Each response is normalised to [0, 1] by clamping to +-sum(|taps|) (the
@@ -114,15 +114,21 @@ def extract_texture(f: Frame) -> FeatureStack:
     Each FFT axis of the reflect-padded frame (side + 24) is zero-padded to
     the next fast length; the extra zeros only push wrap-around further from
     the cropped region, so the result is exact up to rounding. The bank's
-    spectrum is cached per FFT size.
+    spectrum is cached per FFT size. The product and inverse FFT run one
+    orientation (4 kernels) at a time, clamped straight into ``out``
+    ((16, H, W); a new array when None).
     """
     h, w = f.height, f.width
     if BANK_SIDE > h or BANK_SIDE > w:
         raise PipelineError("kernel-exceeds-image", f"kernel {BANK_SIDE}x{BANK_SIDE} on {h}x{w}")
+    out = np.empty((len(TEXTURE_LABELS), h, w)) if out is None else out
     r = BANK_SIDE // 2
     padded = np.pad(luminance(f).data[0], r, mode="reflect")
     size = tuple(next_fast_len(side, real=True) for side in padded.shape)
     bank_spectrum, bounds = _bank_spectrum(size)
-    resp = irfft2(rfft2(padded, size) * bank_spectrum, size)[:, 2 * r : 2 * r + h, 2 * r : 2 * r + w]  # (K, H, W)
-    bounds = bounds[:, None, None]
-    return FeatureStack(affine_map_to_unit(resp, -bounds, bounds), TEXTURE_LABELS)
+    spectrum, bounds = rfft2(padded, size), bounds[:, None, None]
+    group = len(BANK_SCALES) * len(PHASES)  # one orientation's kernels, consecutive in the bank
+    for g in range(0, len(out), group):
+        resp = irfft2(spectrum * bank_spectrum[g : g + group], size)[:, 2 * r : 2 * r + h, 2 * r : 2 * r + w]
+        affine_map_to_unit(resp, -bounds[g : g + group], bounds[g : g + group], out=out[g : g + group])
+    return FeatureStack(out, TEXTURE_LABELS)

@@ -134,6 +134,14 @@ class TestApplyKernelBank:
             for ci in range(2):
                 assert np.allclose(out[ki, ci], conv2d_reflect(stack[ci], kernels[ki]), atol=1e-10)
 
+    def test_writes_the_fresh_bytes_into_out(self):
+        rng = default_rng(12)
+        stack = rng.uniform(size=(3, 13, 17))
+        kernels = rng.normal(size=(4, 5, 5))
+        out = np.full((4, 3, 13, 17), np.nan)
+        assert apply_kernel_bank(stack, kernels, out) is out
+        assert out.tobytes() == apply_kernel_bank(stack, kernels).tobytes()
+
 
 class TestAffineToUnit:
     def test_endpoints_and_midpoint(self):
@@ -173,6 +181,16 @@ class TestAffineToUnit:
         out = affine_map_to_unit(vals, -np.ones((3, 1, 1)), np.full((3, 1, 1), 2.0))
         assert np.array_equal(vals, before)
         assert not np.shares_memory(out, vals)
+
+    def test_writes_the_fresh_bytes_into_out_or_over_the_input(self):
+        vals = default_rng(5).normal(0.0, 5.0, (4, 9, 7))
+        bounds = np.array([4.0, 4.0, 4.0, 8.0])[:, None, None]
+        want = affine_map_to_unit(vals, -bounds, bounds).tobytes()
+        out = np.full_like(vals, np.nan)
+        assert affine_map_to_unit(vals, -bounds, bounds, out=out) is out
+        assert out.tobytes() == want
+        assert affine_map_to_unit(vals, -bounds, bounds, out=vals) is vals
+        assert vals.tobytes() == want
 
 
 class TestLuminance:

@@ -1,12 +1,15 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
+from scipy.fft import next_fast_len
 
 from tamperloc import autodiff as ad
+from tamperloc import fusion
 from tamperloc.autodiff import Tensor
 from tamperloc.core import FeatureStack, Frame
 from tamperloc.edge import edge_features
@@ -31,7 +34,7 @@ from tamperloc.fusion import (
     predict,
 )
 from tamperloc.pixel import srm_features
-from tamperloc.texture import extract_texture
+from tamperloc.texture import BANK_SIDE, extract_texture
 
 EXTRACTORS = {
     "texture": extract_texture,
@@ -39,6 +42,16 @@ EXTRACTORS = {
     "pixel": srm_features,
     "frequency": frequency_features,
 }
+
+
+def concatenated_stack(f: Frame, views) -> np.ndarray:
+    """RGB and each view's fresh array (zeros for a disabled view) joined by
+    one ``np.concatenate``: the reference for the preallocated stack."""
+    parts = [f.data]
+    for view in FEATURE_VIEWS:
+        own = EXTRACTORS[view](f).data
+        parts.append(own if view in views else np.zeros_like(own))
+    return np.concatenate(parts)
 
 
 def random_frame(seed: int, h: int = 32, w: int = 32) -> Frame:
@@ -352,6 +365,70 @@ class TestFeatureViews:
             labels += own.labels
         assert stack.labels == tuple(labels)
         assert stack.data.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("h,w", [(37, 45), (64, 64), (100, 100)])
+    def test_stack_bytes_equal_the_concatenation_for_every_subset(self, policy, cores, h, w):
+        f = random_frame(h + w, h, w)
+        for n in range(len(FEATURE_VIEWS) + 1):
+            for views in itertools.combinations(FEATURE_VIEWS, n):
+                with policy(cores):
+                    got = build_feature_stack(f, views).data
+                assert got.tobytes() == concatenated_stack(f, views).tobytes(), views
+
+    @pytest.mark.parametrize("view", FEATURE_VIEWS)
+    @pytest.mark.parametrize("h,w", [(37, 45), (64, 64)])
+    def test_extractor_writes_the_fresh_bytes_into_out(self, view, h, w):
+        f = random_frame(7, h, w)
+        fresh = EXTRACTORS[view](f)
+        out = np.full_like(fresh.data, np.nan)
+        got = EXTRACTORS[view](f, out=out)
+        assert np.shares_memory(got.data, out)
+        assert got.labels == fresh.labels
+        assert out.tobytes() == fresh.data.tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_stack_holds_the_stack_and_one_job_per_worker(self, policy, cores):
+        # 192 px: beyond the stack, each worker holds the temporaries of one
+        # view, the largest of which is texture's: the padded luma and its
+        # spectrum, one orientation's product, the inverse FFT's complex
+        # pass over it and its real output. The concatenation held every
+        # view beside the stack (28.4 MiB).
+        f = random_frame(6, 192, 192)
+        build_feature_stack(f)  # fills the texture view's spectrum cache for this size
+        fft = next_fast_len(192 + BANK_SIDE - 1, real=True)
+        half = fft * (fft // 2 + 1) * 16
+        texture_job = fft * fft * 8 + half + 2 * 4 * half + 4 * fft * fft * 8
+        with policy(cores):
+            tracemalloc.start()
+            try:
+                build_feature_stack(f)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 52 * 192 * 192 * 8 + cores * texture_job + (1 << 19)
+
+    def test_views_are_shared_under_a_policy_it_takes_itself(self, monkeypatch, blas_threads, pool_tasks):
+        # called outside any policy, as `tamperloc extract` calls it: one
+        # job per chosen view, each run on one BLAS thread
+        monkeypatch.setattr(ad, "cores", lambda: 2)
+        seen = []
+        for view in FEATURE_VIEWS:
+            extractor, labels = fusion._VIEW_EXTRACTORS[view]
+
+            def recording(f, out, extractor=extractor, view=view):
+                seen.append((view, blas_threads()))
+                return extractor(f, out=out)
+
+            monkeypatch.setitem(fusion._VIEW_EXTRACTORS, view, (recording, labels))
+        before = blas_threads()
+        f = random_frame(8)
+        assert build_feature_stack(f, ("edge", "texture", "pixel")).data.tobytes() == (
+            concatenated_stack(f, ("edge", "texture", "pixel")).tobytes()
+        )
+        assert pool_tasks == [3]
+        assert sorted(seen) == [("edge", 1), ("pixel", 1), ("texture", 1)]
+        assert blas_threads() == before
 
     def test_disabled_views_keep_zero_filled_slots(self):
         f = random_frame(1)

@@ -255,9 +255,9 @@ class TestSharedFrames:
         items, params = items_with_masks(3, size=32), init_network(ArchConfig(), 3)
         with policy(2):
             evaluate(params, items)
-        assert pool_tasks == [3]  # the frames; their bands and heads ran inline
+        assert pool_tasks == [3]  # the frames; their views, bands and heads ran inline
         with policy(2):
             predict(params, items[0][1])
-        # one frame alone: two band groups in each of those four convolutions,
-        # then two head groups in each encoder layer
-        assert pool_tasks == [3] + [2] * 4 + [2] * 2
+        # one frame alone: its four views, then two band groups in each of
+        # those four convolutions, then two head groups in each encoder layer
+        assert pool_tasks == [3] + [4] + [2] * 4 + [2] * 2

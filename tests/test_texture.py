@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from tamperloc.core import Frame, PipelineError
+from scipy.fft import irfft2, next_fast_len, rfft2
+
+from tamperloc.core import Frame, PipelineError, affine_map_to_unit, luminance
 from tamperloc import texture
 from tamperloc.texture import (
     BANK_SCALES,
+    BANK_SIDE,
     GaborParams,
     extract_texture,
     gabor_bank,
@@ -15,6 +18,18 @@ from tamperloc.texture import (
 )
 
 from oracles import gabor_tap
+
+
+def batched_texture(f: Frame) -> np.ndarray:
+    """The texture view with one product and one inverse FFT over all 16
+    kernels, clamped into a fresh array: the reference for the grouped one."""
+    h, w, r = f.height, f.width, BANK_SIDE // 2
+    padded = np.pad(luminance(f).data[0], r, mode="reflect")
+    size = tuple(next_fast_len(side, real=True) for side in padded.shape)
+    bank_spectrum, bounds = texture._bank_spectrum(size)
+    resp = irfft2(rfft2(padded, size) * bank_spectrum, size)[:, 2 * r : 2 * r + h, 2 * r : 2 * r + w]
+    bounds = bounds[:, None, None]
+    return affine_map_to_unit(resp, -bounds, bounds)
 
 
 REFERENCE_PARAMS = GaborParams(sigma=2.0, wavelength=4.0, gamma=0.5, phi=0.0,
@@ -142,3 +157,8 @@ class TestExtractTexture:
             spectrum[0, 0, 0] = 0.0
         with pytest.raises(ValueError):
             bounds[0] = 0.0
+
+    @pytest.mark.parametrize("h,w", [(37, 45), (64, 64), (100, 100), (192, 192)])
+    def test_grouped_inverse_gives_the_batched_bytes(self, h, w):
+        f = Frame(default_rng(h + w).uniform(0.0, 1.0, (3, h, w)))
+        assert extract_texture(f).data.tobytes() == batched_texture(f).tobytes()

@@ -288,9 +288,10 @@ class TestSharedSamples:
         monkeypatch.setattr(ad, "CONV_BLOCK", 4 * 64)
         with policy(2):
             train(TrainConfig(steps=3, batch_size=2), ArchConfig(), balanced_items(2))
-        assert pool_tasks == [2] * 3  # the samples, two a step; their bands and heads ran inline
+        assert pool_tasks == [2] * 3  # the samples, two a step; their views, bands and heads ran inline
         with policy(2):
             train(TrainConfig(steps=1, batch_size=1), ArchConfig(), balanced_items(1))
-        # one sample alone: two band groups in each of those four forward
-        # convolutions, then two head groups in each encoder layer, forward and back
-        assert pool_tasks == [2] * 3 + [2] * 4 + [2] * 2 * 2
+        # one sample alone: its four views, then two band groups in each of
+        # those four forward convolutions, then two head groups in each
+        # encoder layer, forward and back
+        assert pool_tasks == [2] * 3 + [4] + [2] * 4 + [2] * 2 * 2
