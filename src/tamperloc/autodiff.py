@@ -14,7 +14,9 @@ over one worker per core, at one level at a time. The workers are the
 calling thread and the helpers of one pool per process, started once and
 reused. ``train`` shares a minibatch's samples, ``evaluate`` its frames,
 ``build_feature_stack`` a frame's views, and ``predict`` on a single frame
-its convolutions' forward bands and, on a large frame, the attention heads.
+its convolutions' forward bands and its attention heads. An op hands
+``share`` its natural jobs, one per band or head, and never sizes its work
+to the worker count; ``share`` alone decides how many threads run them.
 Each worker builds its own tape, so tapes never share a ``Tensor``.
 
 The op set is deliberately small: what the fusion network needs, plus
@@ -23,13 +25,13 @@ benchmark's tracer wraps it by name. ``attention`` is one fused op for
 scaled dot-product attention; it works through cache-sized tiles of query
 rows, so its memory grows linearly in the token count, and keeps only each
 row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
-2307.08691). When a head spans more than one tile, the heads may run on one
-worker per core, each worker with its own tile in its own core's L2.
-``conv2d`` likewise works through bands of output rows, building each band's
-im2col columns channel-major from one slab of padded input rows and rebuilding
-them in the backward pass, so beyond its inputs, output and gradients it holds
-one band of columns and one slab per worker. Both recompute rather than store,
-as in Rabe & Staats (arXiv 2112.05682).
+2307.08691). Each head is one job, with its own tile, which stays in the L2
+of the core that runs it. ``conv2d`` likewise works through bands of output
+rows, one job per forward band, building each band's im2col columns
+channel-major from its own slab of padded input rows and rebuilding them in
+the backward pass, so beyond its inputs, output and gradients it holds one
+band of columns and one slab per running job. Both recompute rather than
+store, as in Rabe & Staats (arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -50,19 +52,19 @@ from .errors import PipelineError
 
 LAYER_NORM_EPS = 1e-12
 
-# Score entries per attention tile, per worker: 2**17 float64 are 1 MiB,
-# inside each worker's own 2 MiB per-core L2. A tile is max(1,
-# ATTENTION_BLOCK // n_keys) query rows: 56 at 2304 tokens (192 px frames),
-# the whole head at 256 tokens (64 px).
+# Score entries per attention tile, one tile per running head: 2**17
+# float64 are 1 MiB, inside the 2 MiB L2 of the core that runs the head. A
+# tile is max(1, ATTENTION_BLOCK // n_keys) query rows: 56 at 2304 tokens
+# (192 px frames), the whole head at 256 tokens (64 px).
 ATTENTION_BLOCK = 2**17
 
-# Output pixels per conv2d band in the backward pass; forward bands take
-# half as many, so two workers' forward bands hold one block of columns
-# between them. Over the three stage-1 convolutions at 192 px, one BLAS
-# thread, bands of 1024-2048 pixels timed within 2% of each other, 4096 13%
-# slower and 16384 35% slower (fwd+bwd 243, 273 and 357 ms); at 64 px
-# 1024-8192 timed within noise. 2048 pixels of 52-channel 3x3 columns are
-# 7.3 MiB.
+# Output pixels per conv2d band in the backward pass; forward bands, one
+# share job each, take half as many, so two running forward bands hold one
+# block of columns between them. Over the three stage-1 convolutions at
+# 192 px, one BLAS thread, bands of 1024-2048 pixels timed within 2% of each
+# other, 4096 13% slower and 16384 35% slower (fwd+bwd 243, 273 and 357 ms);
+# at 64 px 1024-8192 timed within noise. 2048 pixels of 52-channel 3x3
+# columns are 7.3 MiB.
 CONV_BLOCK = 2048
 
 
@@ -260,6 +262,8 @@ class _Pool:
 
 
 _pool = _Pool()
+if hasattr(os, "register_at_fork"):  # Unix: a forked child has none of the parent's helpers
+    os.register_at_fork(after_in_child=_pool.__init__)
 
 
 class Tensor:
@@ -459,21 +463,21 @@ def attention(q, k, v, scale: float) -> Tensor:
     ``q``, ``k`` and ``v`` are (heads, n, dh) with equal heads and dh; ``k``
     and ``v`` hold the same number of keys. Each head is processed in tiles
     of ``max(1, ATTENTION_BLOCK // n_keys)`` query rows, so a tile of scores
-    fits in a core's L2 cache. When a head spans more than one tile, the
-    heads are shared out (``share``) over min(heads, workers) threads, each
-    with its own tile in its own core's L2: inside a ``thread_policy`` block
-    that shares nothing else, such as ``predict`` on one frame. Every head
-    runs the same ops in the same order either way, so the bytes do not
-    depend on the worker count. A tile takes four elementwise
-    passes over its scores (max, subtract, exp, sum) and divides the
-    (rows, dh) output by the row sums, never the probabilities. Every row's
-    log-sum-exp is kept, so the backward pass rebuilds a tile's
-    probabilities as ``exp(scale * q k^T - lse)`` and uses
+    fits in a core's L2 cache. Each head is one ``share`` job, forward and
+    backward, with its own tile buffers; inside a ``thread_policy`` block
+    that shares nothing else, such as ``predict`` on one frame, the heads
+    run on one worker per core. A head runs the same ops in the same order
+    on any thread, so the bytes do not depend on the worker count. A tile
+    takes four elementwise passes over its scores (max, subtract, exp, sum)
+    and divides the (rows, dh) output by the row sums, never the
+    probabilities. Every row's log-sum-exp is kept, so the backward pass
+    rebuilds a tile's probabilities as ``exp(scale * q k^T - lse)`` and uses
     ``rowsum(g * out)`` in place of ``rowsum(dP * P)``, as in
     FlashAttention-2 (Dao, arXiv 2307.08691).
     Beyond the inputs, the output and the gradients, forward and backward
-    hold one tile of scores per worker and heads * n row statistics, never
-    the O(heads * n^2) score matrix; the tape keeps only the log-sum-exp.
+    hold one tile of scores per running head and heads * n row statistics,
+    never the O(heads * n^2) score matrix; the tape keeps only the
+    log-sum-exp.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     qd, kd, vd = q.data, k.data, v.data
@@ -488,57 +492,49 @@ def attention(q, k, v, scale: float) -> Tensor:
     heads, n, _ = qd.shape
     rows = max(1, ATTENTION_BLOCK // kd.shape[1])
     tiles = [slice(lo, lo + rows) for lo in range(0, n, rows)]
-
-    def share_heads(work):
-        # a head of one tile is too little work to share: on two cores, two
-        # workers made 64 px frames (256 tokens) 12-13% slower to infer and train
-        workers = min(heads, _state.workers or 1) if len(tiles) > 1 else 1
-        share(work, [range(i, heads, workers) for i in range(workers)])
+    tile = (min(rows, n), kd.shape[1])
 
     def scores(h, t, buf):
         qs = qd[h, t] * scale
         return qs, np.matmul(qs, kd[h].T, out=buf[: len(qs)])
 
-    tile = (min(rows, n), kd.shape[1])
     out = np.empty(qd.shape)
     lse = np.empty((heads, n, 1))
 
-    def forward_heads(hs):
-        buf = np.empty(tile)  # reused by every tile of this worker; never kept by the tape
-        for h in hs:
-            for t in tiles:
-                _, s = scores(h, t, buf)
-                m = s.max(axis=1, keepdims=True)
-                s -= m
-                np.exp(s, out=s)
-                z = s.sum(axis=1, keepdims=True)
-                np.matmul(s, vd[h], out=out[h, t])
-                out[h, t] /= z
-                lse[h, t] = m + np.log(z)
+    def forward_head(h):
+        buf = np.empty(tile)  # reused by every tile of this head; never kept by the tape
+        for t in tiles:
+            _, s = scores(h, t, buf)
+            m = s.max(axis=1, keepdims=True)
+            s -= m
+            np.exp(s, out=s)
+            z = s.sum(axis=1, keepdims=True)
+            np.matmul(s, vd[h], out=out[h, t])
+            out[h, t] /= z
+            lse[h, t] = m + np.log(z)
 
-    share_heads(forward_heads)
+    share(forward_head, range(heads))
 
     def back(g):
         dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
         rowdot = (g * out).sum(axis=-1, keepdims=True)  # rowsum(dP * P), per query row
 
-        def backward_heads(hs):
+        def backward_head(h):
             pbuf, dsbuf = np.empty(tile), np.empty(tile)
-            for h in hs:
-                for t in tiles:
-                    qs, p = scores(h, t, pbuf)
-                    p -= lse[h, t]
-                    np.exp(p, out=p)
-                    gt = g[h, t]
-                    dv[h] += p.T @ gt
-                    ds = np.matmul(gt, vd[h].T, out=dsbuf[: len(qs)])
-                    ds -= rowdot[h, t]
-                    ds *= p
-                    np.matmul(ds, kd[h], out=dq[h, t])
-                    dq[h, t] *= scale
-                    dk[h] += ds.T @ qs
+            for t in tiles:
+                qs, p = scores(h, t, pbuf)
+                p -= lse[h, t]
+                np.exp(p, out=p)
+                gt = g[h, t]
+                dv[h] += p.T @ gt
+                ds = np.matmul(gt, vd[h].T, out=dsbuf[: len(qs)])
+                ds -= rowdot[h, t]
+                ds *= p
+                np.matmul(ds, kd[h], out=dq[h, t])
+                dq[h, t] *= scale
+                dk[h] += ds.T @ qs
 
-        share_heads(backward_heads)
+        share(backward_head, range(heads))
         _accumulate(q, dq)
         _accumulate(k, dk)
         _accumulate(v, dv)
@@ -614,20 +610,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
     channel-major columns (Cin*kh*kw, band*wo) are built, used in one gemm
     and dropped (a 1x1 convolution's are a view of its input); the backward
     pass rebuilds them for the weight gradient instead of storing them. Zero
-    padding is applied per band, in one (Cin, (band-1)*stride + kh, W +
-    2*pad) slab of the band's input rows, so no padded copy of the input
-    exists ("wrap" still pads it whole).
+    padding is applied per band, in a (Cin, (band-1)*stride + kh, W + 2*pad)
+    slab of the band's input rows made for that band, so no padded copy of
+    the input exists ("wrap" still pads it whole).
 
-    The forward bands are shared over min(bands, workers) threads
-    (``share``): each works through every n-th band in a slab and a column
-    buffer of its own, allocated by the caller, and its gemm writes straight
-    into the output. Band heights never depend on the worker count, because
-    OpenBLAS gives a column different bytes in gemms of different widths; so
-    neither do the bytes. Inside a sample worker of ``train`` the bands run
-    inline. Beyond the inputs, the output and the gradients, forward and
-    backward hold one slab and O(Cin*kh*kw * max(CONV_BLOCK, wo)) floats
-    per worker at a time, never the whole-frame (H*W, Cin*kh*kw) im2col
-    matrix.
+    Each forward band is one ``share`` job that builds its own slab and
+    columns and whose gemm writes straight into the output. Band heights
+    never depend on the worker count, because OpenBLAS gives a column
+    different bytes in gemms of different widths; so neither do the bytes.
+    Inside a sample worker of ``train`` the bands run inline. Beyond the
+    inputs, the output and the gradients, forward and backward hold one slab
+    and O(Cin*kh*kw * max(CONV_BLOCK, wo)) floats per running band, never
+    the whole-frame (H*W, Cin*kh*kw) im2col matrix.
     """
     if pad_mode not in ("zero", "wrap"):
         raise PipelineError("bad-pad-mode", pad_mode)
@@ -645,51 +639,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
     wo = (wp - kw) // stride + 1
     wmat = wd.reshape(cout, -1)
 
-    def slab(band):
-        """Zeros for the padded input rows of a band of ``band`` rows, or None
-        where bands read their rows straight from ``src``."""
-        return np.zeros((cin, min((band - 1) * stride + kh, hp), wp)) if margin else None
+    def band_rows(lo, band):
+        """(output pixels, padded input rows read) of the band of ``band``
+        rows from output row ``lo``: a zero-margined slab of its own, or rows
+        of ``src`` where there is no margin."""
+        top, n = lo * stride - margin, min((band - 1) * stride + kh, hp - lo * stride)
+        if margin:
+            a, z = max(top, 0), max(min(top + n, h), top, 0)
+            rows = np.zeros((cin, n, wp))
+            rows[:, a - top : z - top, margin:-margin] = src[:, a:z]
+        else:
+            rows = src[:, top : top + n]
+        return slice(lo * wo, (lo + band) * wo), rows
 
-    def bands(band, lows, rows_buf):
-        """(first output row, output pixels, padded input rows read) of the
-        bands of ``band`` rows that start at each row of ``lows``, in order."""
-        for lo in lows:
-            top, n = lo * stride - margin, min((band - 1) * stride + kh, hp - lo * stride)
-            if rows_buf is None:
-                rows = src[:, top : top + n]
-            else:  # rows above src are still zero: bands run downwards from a zero slab
-                a, z = max(top, 0), max(min(top + n, h), top, 0)
-                rows = rows_buf[:, :n]
-                rows[:, a - top : z - top, margin:-margin] = src[:, a:z]
-                rows[:, z - top :] = 0.0
-            yield lo, slice(lo * wo, (lo + band) * wo), rows
-
-    def columns(rows, cols_buf=None):
+    def columns(rows):
         win = sliding_window_view(rows, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # (cin, nb, wo, kh, kw)
-        win = win.transpose(0, 3, 4, 1, 2)
-        shape = (cin * kh * kw, win.shape[3] * wo)
-        try:
-            return win.reshape(shape, copy=False)  # a 1x1 conv's columns are a view of its input rows
-        except ValueError:
-            if cols_buf is None:
-                return win.reshape(shape)
-            cols = cols_buf[: shape[0] * shape[1]].reshape(shape)
-            np.copyto(cols.reshape(win.shape), win)
-            return cols
+        # a view of the input rows for a 1x1, stride-1 convolution of contiguous rows, a copy otherwise
+        return win.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, -1)
 
     out = np.empty((cout, ho * wo))
     band = max(1, CONV_BLOCK // 2 // wo)
-    parts = min(max(1, _state.workers), -(-ho // band))
-    flat = kh == kw == stride == 1  # columns are views of the input rows: no buffer
 
-    def forward_bands(job):
-        first, rows_buf, cols_buf = job
-        for _, px, rows in bands(band, range(first * band, ho, parts * band), rows_buf):
-            np.matmul(wmat, columns(rows, cols_buf), out=out[:, px])
-            out[:, px] += b.data[:, None]
+    def forward_band(lo):
+        px, rows = band_rows(lo, band)
+        np.matmul(wmat, columns(rows), out=out[:, px])
+        out[:, px] += b.data[:, None]
 
-    cols_size = cin * kh * kw * min(band, ho) * wo
-    share(forward_bands, [(i, slab(band), None if flat else np.empty(cols_size)) for i in range(parts)])
+    share(forward_band, range(0, ho, band))
 
     def back(g):
         gmat = g.reshape(cout, -1)  # (cout, ho*wo)
@@ -697,7 +673,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
         dw = np.zeros_like(wmat)
         dpad = np.zeros((cin, hp, wp)) if x.requires_grad else None
         band = max(1, CONV_BLOCK // wo)
-        for lo, px, rows in bands(band, range(0, ho, band), slab(band)):
+        for lo in range(0, ho, band):
+            px, rows = band_rows(lo, band)
             gb = gmat[:, px]
             dw += gb @ columns(rows).T
             if dpad is None:

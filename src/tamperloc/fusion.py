@@ -328,8 +328,8 @@ def forward(params: ParamStore, x) -> np.ndarray:
 
     Runs without a tape: nothing is kept for a backward pass. Runs under the
     thread policy, so the bytes do not depend on the BLAS threads the
-    caller's environment asks for, and the convolutions' forward bands and a
-    large frame's attention heads share the cores.
+    caller's environment asks for, and the convolutions' forward bands and
+    the attention heads share the cores.
     """
     with ad.thread_policy(), ad.no_grad():
         _, probs = _forward_graph(params, _stack_data(x), "zero")

@@ -52,8 +52,8 @@ class TrainConfig:
             raise PipelineError("bad-config", f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise PipelineError("bad-config", f"batch size must be >= 1, got {self.batch_size}")
-        if not (self.lr > 0.0):
-            raise PipelineError("bad-config", f"learning rate must be positive, got {self.lr}")
+        if not (0.0 < self.lr < float("inf")):
+            raise PipelineError("bad-config", f"learning rate must be positive and finite, got {self.lr}")
         object.__setattr__(self, "augment", tuple(self.augment))
         object.__setattr__(self, "views", check_views(self.views))
 

@@ -1,7 +1,11 @@
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,7 +211,7 @@ class TestForwardValues:
         with policy(2):
             peak, out_bytes = self.attention_peak(heads, n, 16)
         tile = ad.ATTENTION_BLOCK // n * n * 8
-        assert pool_tasks == [2]  # two head groups: the caller runs one, a helper the other
+        assert pool_tasks == [4]  # one job per head, two running at a time
         assert peak < 2 * (tile + (64 << 10)) + out_bytes + heads * n * 8 + (64 << 10)
 
     def test_attention_tape_keeps_only_the_log_sum_exp(self):
@@ -372,7 +376,7 @@ class TestForwardValues:
         assert peak < out.data.nbytes + columns + slab + (1 << 20)
 
     # with CONV_BLOCK 6 * wo, forward bands of three rows: 2-8 bands on a
-    # 23 x 19 input, dealt out to 1, 2 or 3 participants
+    # 23 x 19 input, one job each, run by 1, 2 or 3 participants
     @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
     @pytest.mark.parametrize("stride", [1, 2, 4])
     def test_conv2d_forward_bytes_do_not_depend_on_the_participants(self, monkeypatch, policy, pool_tasks, stride, layout):
@@ -387,8 +391,8 @@ class TestForwardValues:
                 del pool_tasks[:]
                 with policy(parts), ad.no_grad():
                     got.add(ad.conv2d(Tensor(x), w, b, stride=stride, pad=pad).data.tobytes())
-                jobs = min(parts, -(-ho // 3))
-                assert pool_tasks == ([jobs] if jobs > 1 else []), (k, pad, parts)
+                bands = -(-ho // 3)
+                assert pool_tasks == ([bands] if parts > 1 else []), (k, pad, parts)
             with policy(1):  # OpenBLAS's thread count moves gemm bytes
                 want = whole_frame_pad_conv2d(x, w.data, b.data, np.zeros((4, ho, wo)), stride, pad, "zero", 6 * wo)[0]
             assert got == {want.tobytes()}, (k, pad)
@@ -603,7 +607,7 @@ class TestAttentionWorkers:
         assert pool_tasks == []
         with policy(2):
             threaded = self.output_and_gradient_bytes(heads, n, 8, seed=n)
-        assert pool_tasks == [2, 2]  # two head groups forward, two backward
+        assert pool_tasks == [heads, heads]  # one job per head forward, one per head backward
         assert threaded == inline
 
     @pytest.mark.parametrize(
@@ -631,7 +635,7 @@ class TestAttentionWorkers:
         with policy(4) as got:
             assert got == workers
 
-    @pytest.mark.parametrize("heads, n", [(4, 256), (1, 600)], ids=["one-tile-per-head", "one-head"])
+    @pytest.mark.parametrize("heads, n", [(1, 600)], ids=["one-head"])
     def test_inline_when_there_is_nothing_to_share(self, policy, pool_tasks, heads, n):
         with policy(2):
             self.output_and_gradient_bytes(heads, n, 8, seed=1)
@@ -863,6 +867,44 @@ class TestThreadPolicy:
         finally:
             sys.setswitchinterval(interval)
         assert results == {name: [[1000.0 * job for job in range(6)]] * 100 for name in "abc"}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helpers(self):
+        # the parent starts a helper; a child made by os.fork() has none of
+        # the parent's threads, so its shares must start their own
+        script = textwrap.dedent(
+            """
+            import os, sys, threading
+            from tamperloc import autodiff as ad
+
+            ad.cores = lambda: 2
+
+            def barrier_share():
+                both = threading.Barrier(2, timeout=5)
+
+                def work(job):
+                    both.wait()
+                    return threading.current_thread().name
+
+                with ad.thread_policy():
+                    return ad.share(work, range(2))
+
+            barrier_share()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    names = barrier_share()
+                    ok = ad._pool.calls.qsize() == 0 and any(n.startswith("tamperloc-") for n in names)
+                except BaseException:
+                    ok = False
+                os._exit(0 if ok else 1)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            """
+        )
+        src = str(Path(ad.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_workers_tape_exactly_when_the_caller_does(self, policy):
         x = Tensor(np.ones(2), requires_grad=True)

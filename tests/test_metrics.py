@@ -248,8 +248,8 @@ class TestSharedFrames:
 
     def test_attention_runs_inline_while_frames_are_shared(self, monkeypatch, policy, pool_tasks):
         # 32 px frames have 64 tokens: tiles of 8 rows give every head 8
-        # tiles; bands of 4 * 64 pixels give conv1, conv2 and both fuse1
-        # convolutions more than one band per worker
+        # tiles; forward bands of 2 * 64 pixels give conv1 8 bands, and
+        # conv2 and both fuse1 convolutions 2 each
         monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8 * 64)
         monkeypatch.setattr(ad, "CONV_BLOCK", 4 * 64)
         items, params = items_with_masks(3, size=32), init_network(ArchConfig(), 3)
@@ -258,6 +258,6 @@ class TestSharedFrames:
         assert pool_tasks == [3]  # the frames; their views, bands and heads ran inline
         with policy(2):
             predict(params, items[0][1])
-        # one frame alone: its four views, then two band groups in each of
-        # those four convolutions, then two head groups in each encoder layer
-        assert pool_tasks == [3] + [4] + [2] * 4 + [2] * 2
+        # one frame alone: its four views, then one job per band of those
+        # four convolutions, then one per head in each encoder layer
+        assert pool_tasks == [3] + [4] + [8, 2, 2, 2] + [4] * 2

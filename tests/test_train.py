@@ -51,7 +51,10 @@ class TestTrainConfig:
         assert cfg.batch_size == 4
         assert cfg.views == ("texture", "edge", "pixel", "frequency")
 
-    @pytest.mark.parametrize("kwargs", [dict(steps=0), dict(steps=5, batch_size=0), dict(steps=5, lr=0.0), dict(steps=5, lr=-1.0)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(steps=0), dict(steps=5, batch_size=0), dict(steps=5, lr=0.0), dict(steps=5, lr=-1.0), dict(steps=5, lr=float("inf"))],
+    )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(PipelineError, match="bad-config"):
             TrainConfig(**kwargs)
@@ -282,8 +285,8 @@ class TestSharedSamples:
 
     def test_attention_runs_inline_while_samples_are_shared(self, monkeypatch, policy, pool_tasks):
         # 32 px frames have 64 tokens: tiles of 8 rows give every head 8
-        # tiles; bands of 4 * 64 pixels give conv1, conv2 and both fuse1
-        # convolutions more than one band per worker
+        # tiles; forward bands of 2 * 64 pixels give conv1 8 bands, and
+        # conv2 and both fuse1 convolutions 2 each
         monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8 * 64)
         monkeypatch.setattr(ad, "CONV_BLOCK", 4 * 64)
         with policy(2):
@@ -291,7 +294,7 @@ class TestSharedSamples:
         assert pool_tasks == [2] * 3  # the samples, two a step; their views, bands and heads ran inline
         with policy(2):
             train(TrainConfig(steps=1, batch_size=1), ArchConfig(), balanced_items(1))
-        # one sample alone: its four views, then two band groups in each of
-        # those four forward convolutions, then two head groups in each
-        # encoder layer, forward and back
-        assert pool_tasks == [2] * 3 + [4] + [2] * 4 + [2] * 2 * 2
+        # one sample alone: its four views, then one job per band of those
+        # four forward convolutions, then one per head in each encoder
+        # layer, forward and back
+        assert pool_tasks == [2] * 3 + [4] + [8, 2, 2, 2] + [4] * 2 * 2
