@@ -4,9 +4,11 @@ A ``Tensor`` wraps a float64 array. Every primitive op records its parents and
 a closure that routes the output gradient back to them; ``backward`` replays
 the tape in reverse topological order. Gradients are only materialised for
 tensors that require them (directly or through a parent), so feeding constant
-inputs is cheap. Inside ``with no_grad():`` ops run by that thread record
-nothing at all, so an inference pass keeps no tape and each intermediate
-array is freed as soon as no later op needs it.
+inputs is cheap. A closure hands ``_accumulate`` the gradient arrays it
+creates, which become a tensor's first gradient without a copy; views of
+the output gradient are copied. Inside ``with no_grad():`` ops run by that
+thread record nothing at all, so an inference pass keeps no tape and each
+intermediate array is freed as soon as no later op needs it.
 
 ``thread_policy`` is the program's one thread policy: it pins numpy's
 OpenBLAS to one thread for its block and lets ``share`` spread coarse work
@@ -27,11 +29,13 @@ rows, so its memory grows linearly in the token count, and keeps only each
 row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
 2307.08691). Each head is one job, with its own tile, which stays in the L2
 of the core that runs it. ``conv2d`` likewise works through bands of output
-rows, one job per forward band, building each band's im2col columns
-channel-major from its own slab of padded input rows and rebuilding them in
-the backward pass, so beyond its inputs, output and gradients it holds one
-band of columns and one slab per running job. Both recompute rather than
-store, as in Rabe & Staats (arXiv 2112.05682).
+rows, one job per forward band: it splits each band's padded input rows
+into stride x stride phase planes and runs one gemm per kernel tap over a
+contiguous shifted slice of them (Anderson et al., arXiv 1709.03395),
+rebuilding the planes in the backward pass, so beyond its inputs, output
+and gradients it holds one band's planes and two band-sized sums per
+running job, and no im2col columns. Both recompute rather than store, as
+in Rabe & Staats (arXiv 2112.05682).
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PipelineError
 
@@ -59,12 +62,12 @@ LAYER_NORM_EPS = 1e-12
 ATTENTION_BLOCK = 2**17
 
 # Output pixels per conv2d band in the backward pass; forward bands, one
-# share job each, take half as many, so two running forward bands hold one
-# block of columns between them. Over the three stage-1 convolutions at
-# 192 px, one BLAS thread, bands of 1024-2048 pixels timed within 2% of each
-# other, 4096 13% slower and 16384 35% slower (fwd+bwd 243, 273 and 357 ms);
-# at 64 px 1024-8192 timed within noise. 2048 pixels of 52-channel 3x3
-# columns are 7.3 MiB.
+# share job each, take half as many. With im2col columns, over the three
+# stage-1 convolutions at 192 px, one BLAS thread, bands of 1024-2048 pixels
+# timed within 2% of each other, 4096 13% slower and 16384 35% slower
+# (fwd+bwd 243, 273 and 357 ms); at 64 px 1024-8192 timed within noise. A
+# 52-channel 3x3 forward band of 1024 pixels at 128 px (8 rows of 130
+# padded columns) holds a 0.5 MiB slab and two 32-channel sums of 0.25 MiB.
 CONV_BLOCK = 2048
 
 
@@ -309,12 +312,16 @@ def _make(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, grad: np.ndarray):
+def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False):
+    """Add ``grad`` into ``t.grad``. A first gradient is copied, into the
+    layout zeros_like would give, unless ``fresh``: an array the closure has
+    just created and hands to this one tensor. Views such as g.reshape(old),
+    and the one ``g`` that ``add`` hands both parents, are never fresh."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # a fresh array in the layout zeros_like would give; never an alias,
-        # because closures pass views such as g.reshape(old)
+    if t.grad is None and fresh:
+        t.grad = np.asarray(grad)  # 0-d ops give numpy scalars
+    elif t.grad is None:
         t.grad = np.empty_like(t.data)
         t.grad[...] = grad
     else:
@@ -380,8 +387,8 @@ def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
 
     def back(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return _make(a.data * b.data, (a, b), back)
 
@@ -390,8 +397,8 @@ def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
 
     def back(g):
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), fresh=True)
+        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), fresh=True)
 
     return _make(a.data @ b.data, (a, b), back)
 
@@ -411,7 +418,7 @@ def relu(x: Tensor, overwrite: bool = False) -> Tensor:
     mask = x.data > 0.0
 
     def back(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * mask, fresh=True)
 
     return _make(np.where(mask, x.data, 0.0), (x,), back)
 
@@ -422,14 +429,14 @@ def sigmoid(x: Tensor) -> Tensor:
     y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def back(g):
-        _accumulate(x, g * y * (1.0 - y))
+        _accumulate(x, g * y * (1.0 - y), fresh=True)
 
     return _make(y, (x,), back)
 
 
 def log(x: Tensor) -> Tensor:
     def back(g):
-        _accumulate(x, g / x.data)
+        _accumulate(x, g / x.data, fresh=True)
 
     return _make(np.log(x.data), (x,), back)
 
@@ -438,7 +445,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     inside = (x.data > lo) & (x.data < hi)
 
     def back(g):
-        _accumulate(x, g * inside)
+        _accumulate(x, g * inside, fresh=True)
 
     return _make(np.clip(x.data, lo, hi), (x,), back)
 
@@ -452,7 +459,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def back(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, y * (g - inner))
+        _accumulate(x, y * (g - inner), fresh=True)
 
     return _make(y, (x,), back)
 
@@ -535,9 +542,9 @@ def attention(q, k, v, scale: float) -> Tensor:
                 dk[h] += ds.T @ qs
 
         share(backward_head, range(heads))
-        _accumulate(q, dq)
-        _accumulate(k, dk)
-        _accumulate(v, dv)
+        _accumulate(q, dq, fresh=True)
+        _accumulate(k, dk, fresh=True)
+        _accumulate(v, dv, fresh=True)
 
     return _make(out, (q, k, v), back)
 
@@ -553,7 +560,7 @@ def layer_norm(x: Tensor) -> Tensor:
     def back(g):
         gm = g.mean(axis=-1, keepdims=True)
         gy = (g * y).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * (g - gm - y * gy))
+        _accumulate(x, inv * (g - gm - y * gy), fresh=True)
 
     return _make(y, (x,), back)
 
@@ -562,7 +569,7 @@ def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
 
     def back(g):
-        _accumulate(x, np.full(x.data.shape, float(g) / n))
+        _accumulate(x, np.full(x.data.shape, float(g) / n), fresh=True)
 
     return _make(np.asarray(x.data.mean()), (x,), back)
 
@@ -599,29 +606,42 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
 
 
+def _hits(offset: int, step: int, n: int, count: int) -> tuple[slice, slice]:
+    """The run of i in range(count) whose ``offset + i * step`` lies in
+    range(n), as a slice of i and the strided slice of those positions."""
+    a = max(0, -(offset // step))
+    z = max(a, min(count, -((offset - n) // step)))
+    start = offset + a * step
+    return slice(a, z), slice(start, start + (z - a) * step, step)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_mode: str = "zero") -> Tensor:
     """2-D convolution-as-correlation: x (Cin, H, W), w (Cout, Cin, kh, kw), b (Cout,).
 
     ``pad_mode`` is "zero" for training and "wrap" for the periodic test
-    harness used to probe translation consistency.
+    harness used to probe translation consistency ("wrap" pads the input
+    whole; zero padding never copies it).
 
     Output rows are processed in bands of ``max(1, CONV_BLOCK // 2 // wo)``
-    rows forward and ``max(1, CONV_BLOCK // wo)`` rows backward. Each band's
-    channel-major columns (Cin*kh*kw, band*wo) are built, used in one gemm
-    and dropped (a 1x1 convolution's are a view of its input); the backward
-    pass rebuilds them for the weight gradient instead of storing them. Zero
-    padding is applied per band, in a (Cin, (band-1)*stride + kh, W + 2*pad)
-    slab of the band's input rows made for that band, so no padded copy of
-    the input exists ("wrap" still pads it whole).
+    rows forward and ``max(1, CONV_BLOCK // wo)`` rows backward. With stride
+    s, a band's padded input rows become s x s phase planes of width ``wq =
+    ceil(padded width / s)``, flattened with ``(kw - 1) // s`` trailing
+    zeros: at stride 1 the band's zero-margined slab, for a 1x1 unpadded
+    convolution a view of its input rows. Tap (u, v) reads plane (u mod s,
+    v mod s) as the contiguous slice of ``band * wq`` floats from ``(u // s)
+    * wq + v // s``: one (Cout, Cin) gemm per tap, summed in tap order, of
+    which each ``wq``-wide row keeps its first ``wo`` (Anderson et al., arXiv
+    1709.03395). The backward pass widens the output gradient to ``wq`` with
+    zeros, rebuilds the planes, and adds each tap's input gradient into the
+    same slice of the band's phase gradient, which s * s strided adds fold
+    into the input gradient.
 
-    Each forward band is one ``share`` job that builds its own slab and
-    columns and whose gemm writes straight into the output. Band heights
-    never depend on the worker count, because OpenBLAS gives a column
-    different bytes in gemms of different widths; so neither do the bytes.
-    Inside a sample worker of ``train`` the bands run inline. Beyond the
-    inputs, the output and the gradients, forward and backward hold one slab
-    and O(Cin*kh*kw * max(CONV_BLOCK, wo)) floats per running band, never
-    the whole-frame (H*W, Cin*kh*kw) im2col matrix.
+    Each forward band is one ``share`` job that writes straight into the
+    output. Band heights never depend on the worker count, because OpenBLAS
+    gives a column different bytes in gemms of different widths; so neither
+    do the bytes. Beyond the inputs, the output and the gradients, a running
+    band holds its planes and 2 * Cout * band * wq floats, never im2col
+    columns.
     """
     if pad_mode not in ("zero", "wrap"):
         raise PipelineError("bad-pad-mode", pad_mode)
@@ -630,76 +650,89 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
     if xd.ndim != 3 or xd.shape[0] != cin:
         raise PipelineError("shape-mismatch", f"conv input {xd.shape} vs weight {wd.shape}")
 
+    s = stride
     wrap = pad_mode == "wrap" and pad > 0
     src = np.pad(xd, ((0, 0), (pad, pad), (pad, pad)), mode="wrap") if wrap else xd
     margin = 0 if wrap else pad  # zero rows and columns around src
     h, wdt = src.shape[1:]
     hp, wp = h + 2 * margin, wdt + 2 * margin
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    wmat = wd.reshape(cout, -1)
+    ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
+    wq, tail, down = -(-wp // s), (kw - 1) // s, (kh - 1) // s  # a band of nb output rows reads nb + down plane rows
+    wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # (kh, kw, cout, cin): one gemm operand per tap
+    cols = [_hits(q - margin, s, wdt, wq) for q in range(s)]
 
-    def band_rows(lo, band):
-        """(output pixels, padded input rows read) of the band of ``band``
-        rows from output row ``lo``: a zero-margined slab of its own, or rows
-        of ``src`` where there is no margin."""
-        top, n = lo * stride - margin, min((band - 1) * stride + kh, hp - lo * stride)
-        if margin:
-            a, z = max(top, 0), max(min(top + n, h), top, 0)
-            rows = np.zeros((cin, n, wp))
-            rows[:, a - top : z - top, margin:-margin] = src[:, a:z]
-        else:
-            rows = src[:, top : top + n]
-        return slice(lo * wo, (lo + band) * wo), rows
+    def pieces(lo, m):
+        """(phase-grid index, src index) of every src pixel in the m plane
+        rows of the band from output row ``lo``, phase by phase."""
+        for p in range(s):
+            ri, rs = _hits(lo * s + p - margin, s, h, m)
+            for q, (ci, cs) in enumerate(cols):
+                yield (p, q, slice(None), ri, ci), (slice(None), rs, cs)
 
-    def columns(rows):
-        win = sliding_window_view(rows, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # (cin, nb, wo, kh, kw)
-        # a view of the input rows for a 1x1, stride-1 convolution of contiguous rows, a copy otherwise
-        return win.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, -1)
+    def grid(planes, m):
+        return planes[:, :, : m * wq].reshape(s, s, cin, m, wq)
 
-    out = np.empty((cout, ho * wo))
+    def band_planes(lo, m):
+        """(s * s, Cin, m * wq + tail): the phase planes of the band from
+        output row ``lo``, m rows each."""
+        if s == 1 and margin == 0 and tail == 0:  # kw 1: the band's rows of src
+            return src[:, lo : lo + m].reshape(1, cin, -1)
+        planes = np.zeros((s * s, cin, m * wq + tail))
+        phases = grid(planes, m)
+        for at, ix in pieces(lo, m):
+            phases[at] = src[ix]
+        return planes
+
+    def taps(nb):
+        """(u, v, index of the slice tap (u, v) reads from a band's planes)."""
+        for u in range(kh):
+            for v in range(kw):
+                at = (u // s) * wq + v // s
+                yield u, v, (u % s * s + v % s, slice(None), slice(at, at + nb * wq))
+
+    out = np.empty((cout, ho, wo))
     band = max(1, CONV_BLOCK // 2 // wo)
 
     def forward_band(lo):
-        px, rows = band_rows(lo, band)
-        np.matmul(wmat, columns(rows), out=out[:, px])
-        out[:, px] += b.data[:, None]
+        nb = min(band, ho - lo)
+        planes, acc, prod = band_planes(lo, nb + down), np.empty((cout, nb * wq)), np.empty((cout, nb * wq))
+        for u, v, ix in taps(nb):
+            if u == v == 0:
+                np.matmul(wt[u, v], planes[ix], out=acc)
+            else:
+                acc += np.matmul(wt[u, v], planes[ix], out=prod)
+        np.add(acc.reshape(cout, nb, wq)[:, :, :wo], b.data[:, None, None], out=out[:, lo : lo + nb])
 
     share(forward_band, range(0, ho, band))
 
     def back(g):
-        gmat = g.reshape(cout, -1)  # (cout, ho*wo)
-        _accumulate(b, gmat.sum(axis=1))
-        dw = np.zeros_like(wmat)
-        dpad = np.zeros((cin, hp, wp)) if x.requires_grad else None
+        _accumulate(b, g.reshape(cout, -1).sum(axis=1), fresh=True)
+        dw = np.zeros(wd.shape)
+        dsrc = np.zeros(src.shape) if x.requires_grad else None
         band = max(1, CONV_BLOCK // wo)
         for lo in range(0, ho, band):
-            px, rows = band_rows(lo, band)
-            gb = gmat[:, px]
-            dw += gb @ columns(rows).T
-            if dpad is None:
-                continue
             nb = min(band, ho - lo)
-            dcols = (wmat.T @ gb).reshape(cin, kh, kw, nb, wo)
-            top = lo * stride
-            for u in range(kh):
-                for v in range(kw):
-                    dpad[:, top + u : top + u + stride * nb : stride, v : v + stride * wo : stride] += dcols[:, u, v]
-        _accumulate(w, dw.reshape(wd.shape))
-        if dpad is None:
-            return
-        if pad == 0:
-            _accumulate(x, dpad)
-        elif pad_mode == "zero":
-            _accumulate(x, dpad[:, pad:-pad, pad:-pad])
-        else:  # fold wrapped borders back onto the image
-            rows = (np.arange(hp) - pad) % xd.shape[1]
-            colsix = (np.arange(wp) - pad) % xd.shape[2]
-            dx = np.zeros_like(xd)
-            np.add.at(dx, (slice(None), rows[:, None], colsix[None, :]), dpad)
-            _accumulate(x, dx)
+            gw = np.zeros((cout, nb, wq))
+            gw[:, :, :wo] = g[:, lo : lo + nb]
+            gw = gw.reshape(cout, -1)
+            planes = band_planes(lo, nb + down)
+            dplanes = None if dsrc is None else np.zeros(planes.shape)
+            for u, v, ix in taps(nb):
+                dw[:, :, u, v] += gw @ planes[ix].T
+                if dplanes is not None:
+                    dplanes[ix] += wt[u, v].T @ gw
+            if dplanes is not None:
+                dphases = grid(dplanes, nb + down)
+                for at, ix in pieces(lo, nb + down):
+                    dsrc[ix] += dphases[at]
+        _accumulate(w, dw, fresh=True)
+        if dsrc is not None and wrap:  # fold the wrapped borders back onto the image
+            rows, columns = ((np.arange(n + 2 * pad) - pad) % n for n in xd.shape[1:])
+            padded, dsrc = dsrc, np.zeros_like(xd)
+            np.add.at(dsrc, (slice(None), rows[:, None], columns[None, :]), padded)
+        _accumulate(x, dsrc, fresh=True)  # None only where x needs no gradient
 
-    return _make(out.reshape(cout, ho, wo), (x, w, b), back)
+    return _make(out, (x, w, b), back)
 
 
 def avg_pool2(x: Tensor) -> Tensor:
@@ -710,7 +743,7 @@ def avg_pool2(x: Tensor) -> Tensor:
     y = x.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
 
     def back(g):
-        _accumulate(x, np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * 0.25)
+        _accumulate(x, np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * 0.25, fresh=True)
 
     return _make(y, (x,), back)
 
@@ -723,6 +756,6 @@ def upsample_nearest(x: Tensor, factor: int, size: tuple[int, int]) -> Tensor:
     def back(g):
         if g.shape != full:  # the cropped margin gets a zero gradient
             g = np.pad(g, ((0, 0), (0, full[1] - size[0]), (0, full[2] - size[1])))
-        _accumulate(x, g.reshape(c, h, factor, w, factor).sum(axis=(2, 4)))
+        _accumulate(x, g.reshape(c, h, factor, w, factor).sum(axis=(2, 4)), fresh=True)
 
     return _make(np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2)[crop], (x,), back)

@@ -218,6 +218,9 @@ def cli_main(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # an input too large for the memory this process has left
+        print(f"error: out-of-memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def entry() -> None:

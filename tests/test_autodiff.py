@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import default_rng
 
 from tamperloc import autodiff as ad
 from tamperloc.autodiff import LAYER_NORM_EPS, Tensor
 from tamperloc.errors import PipelineError
+from tamperloc.fusion import INPUT_CHANNELS, ArchConfig, bce_loss_graph, forward_graph, init_network
 
 from oracles import correlate2d_strided
 
@@ -52,6 +52,24 @@ def check_gradients(make_loss, arrays, rtol=1e-5, atol=1e-8):
         np.testing.assert_allclose(leaf.grad, num, rtol=rtol, atol=atol)
 
 
+def taped_grads(root: Tensor) -> list[np.ndarray]:
+    """The gradient of every tensor on ``root``'s tape that holds one."""
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return [t.grad for t in seen.values() if t.grad is not None]
+
+
+def assert_no_gradient_aliases_another(root: Tensor):
+    grads = taped_grads(root)
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
 def weighted_mean(out: Tensor, seed: int = 99) -> Tensor:
     """Scalarise with a fixed random weighting so output grads are non-uniform."""
     w = default_rng(seed).normal(size=out.data.shape)
@@ -71,45 +89,66 @@ def qkv(seed, heads, n, dh):
 
 
 def whole_frame_pad_conv2d(x, w, b, g, stride, pad, pad_mode, block):
-    """(out, dx, dw, db) of ``conv2d`` with output gradient ``g``, computed as
-    it was before band slabs: the whole input padded once, its gradient
-    accumulated in a padded array and cropped. The same numpy ops run in the
-    same order on the same values, so the bytes must match."""
+    """(out, dx, dw, db) of ``conv2d`` with output gradient ``g``, computed
+    from the whole input padded once: its stride x stride phase planes are
+    built whole and cut into each band's rows, and the input gradient is
+    gathered in whole-frame phase planes, scattered back into a padded array
+    and cropped (or wrapped back). The same numpy ops run in the same order
+    on the same values, so the bytes must match."""
     cout, cin, kh, kw = w.shape
+    s = stride
     padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), mode="constant" if pad_mode == "zero" else "wrap")
     hp, wp = padded.shape[1:]
-    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    win = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    wmat = w.reshape(cout, -1)
+    ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
+    wq, tail, down = -(-wp // s), (kw - 1) // s, (kh - 1) // s
+    phases = np.zeros((s, s, cin, ho + down, wq))  # every plane row any band reads
+    for p in range(s):
+        for q in range(s):
+            plane = padded[:, p::s, q::s][:, : ho + down]
+            phases[p, q, :, : plane.shape[1], : plane.shape[2]] = plane
+    wt = w.transpose(2, 3, 0, 1)
 
     def bands(band):
-        return [(lo, slice(lo * wo, (lo + band) * wo), band) for lo in range(0, ho, band)]
+        for lo in range(0, ho, band):
+            nb = min(band, ho - lo)
+            planes = np.zeros((s * s, cin, (nb + down) * wq + tail))
+            planes[:, :, : (nb + down) * wq] = phases[:, :, :, lo : lo + nb + down].reshape(s * s, cin, -1)
+            taps = []
+            for u in range(kh):
+                for v in range(kw):
+                    at = (u // s) * wq + v // s
+                    taps.append((u, v, (u % s * s + v % s, slice(None), slice(at, at + nb * wq))))
+            yield lo, nb, planes, taps
 
-    def columns(lo, band):
-        return win[:, lo : lo + band].transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, -1)
-
-    out = np.empty((cout, ho * wo))
-    for lo, px, band in bands(max(1, block // 2 // wo)):  # forward bands are half a block
-        out[:, px] = wmat @ columns(lo, band)
-    out += b[:, None]
-    gmat = g.reshape(cout, -1)
-    dw, dpad = np.zeros_like(wmat), np.zeros_like(padded)
-    for lo, px, band in bands(max(1, block // wo)):
-        gb = gmat[:, px]
-        dw += gb @ columns(lo, band).T
-        nb = min(band, ho - lo)
-        dcols = (wmat.T @ gb).reshape(cin, kh, kw, nb, wo)
-        top = lo * stride
-        for u in range(kh):
-            for v in range(kw):
-                dpad[:, top + u : top + u + stride * nb : stride, v : v + stride * wo : stride] += dcols[:, u, v]
+    out = np.empty((cout, ho, wo))
+    for lo, nb, planes, taps in bands(max(1, block // 2 // wo)):  # forward bands are half a block
+        acc = None
+        for u, v, ix in taps:
+            prod = wt[u, v] @ planes[ix]
+            acc = prod if acc is None else acc + prod
+        out[:, lo : lo + nb] = acc.reshape(cout, nb, wq)[:, :, :wo] + b[:, None, None]
+    dw, dphases = np.zeros_like(w), np.zeros_like(phases)
+    for lo, nb, planes, taps in bands(max(1, block // wo)):
+        gw = np.zeros((cout, nb, wq))
+        gw[:, :, :wo] = g[:, lo : lo + nb]
+        gw = gw.reshape(cout, -1)
+        dplanes = np.zeros_like(planes)
+        for u, v, ix in taps:
+            dw[:, :, u, v] += gw @ planes[ix].T
+            dplanes[ix] += wt[u, v].T @ gw
+        dphases[:, :, :, lo : lo + nb + down] += dplanes[:, :, : (nb + down) * wq].reshape(s, s, cin, nb + down, wq)
+    dpad = np.zeros_like(padded)
+    for p in range(s):
+        for q in range(s):
+            plane = dpad[:, p::s, q::s][:, : ho + down]
+            plane += dphases[p, q, :, : plane.shape[1], : plane.shape[2]]
     if pad_mode == "zero":
         dx = dpad[:, pad : hp - pad, pad : wp - pad]
     else:
         rows, cols = ((np.arange(n + 2 * pad) - pad) % n for n in x.shape[1:])
         dx = np.zeros_like(x)
         np.add.at(dx, (slice(None), rows[:, None], cols[None, :]), dpad)
-    return out.reshape(cout, ho, wo), dx, dw.reshape(w.shape), gmat.sum(axis=1)
+    return out, dx, dw, g.reshape(cout, -1).sum(axis=1)
 
 
 class TestForwardValues:
@@ -321,11 +360,12 @@ class TestForwardValues:
 
     def test_conv2d_memory_is_bounded_by_one_band(self):
         # no-grad 52->32 3x3 at 128x128, as conv1 of a 128 px frame: beyond
-        # the padded input and the output, one band of columns and its gemm
-        # result; the whole-frame im2col alone would be 61 MiB
+        # the padded input and the output, one band's slab and its tap sum and
+        # product; the whole-frame im2col alone would be 61 MiB
         rng = default_rng(5)
         x, w, b = Tensor(rng.normal(size=(52, 128, 128))), Tensor(rng.normal(size=(32, 52, 3, 3))), Tensor(np.zeros(32))
-        band = (52 * 9 + 32) * ad.CONV_BLOCK * 8
+        rows = ad.CONV_BLOCK // 2 // 128
+        band = (52 * ((rows + 2) * 130 + 2) + 2 * 32 * rows * 130) * 8
         tracemalloc.start()
         try:
             with ad.no_grad():
@@ -360,12 +400,14 @@ class TestForwardValues:
 
     def test_conv2d_holds_no_padded_input(self):
         # no-grad 52->32 3x3 pad-1 at 128x128, as conv1 of a 128 px frame:
-        # beyond the output, one band of columns (with its 0.5 MiB gemm
-        # result) and one slab of 16 + 2 padded input rows; no padded frame
+        # beyond the output, one band's slab of 8 + 2 padded input rows (with
+        # its two trailing zeros) and the band's tap sum and one tap product,
+        # 32 x (8 x 130) floats each; no padded frame and no im2col columns
         rng = default_rng(5)
         x, w, b = Tensor(rng.normal(size=(52, 128, 128))), Tensor(rng.normal(size=(32, 52, 3, 3))), Tensor(np.zeros(32))
-        columns = 52 * 9 * ad.CONV_BLOCK * 8
-        slab = 52 * (ad.CONV_BLOCK // 128 + 2) * 130 * 8
+        rows = ad.CONV_BLOCK // 2 // 128
+        slab = 52 * ((rows + 2) * 130 + 2) * 8
+        sums = 2 * 32 * rows * 130 * 8
         tracemalloc.start()
         try:
             with ad.no_grad():
@@ -373,7 +415,7 @@ class TestForwardValues:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < out.data.nbytes + columns + slab + (1 << 20)
+        assert peak < out.data.nbytes + slab + sums + (1 << 20)
 
     # with CONV_BLOCK 6 * wo, forward bands of three rows: 2-8 bands on a
     # 23 x 19 input, one job each, run by 1, 2 or 3 participants
@@ -563,6 +605,42 @@ class TestBackward:
         ad._accumulate(t, g)
         np.testing.assert_array_equal(g, np.ones((2, 3)))
         np.testing.assert_array_equal(t.grad, np.full((2, 3), 2.0))
+
+    # add hands one g to both parents, concat and reshape hand views of g,
+    # and mul(x, x) hands x two fresh arrays
+    @pytest.mark.parametrize("graph", ["add", "add-self", "concat", "reshape-add", "mul-self"])
+    def test_no_gradient_aliases_another(self, graph):
+        rng = default_rng(4)
+        a, b = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+        out = {
+            "add": lambda: ad.add(a, b),
+            "add-self": lambda: ad.add(a, a),
+            "concat": lambda: ad.concat([a, b], axis=0),
+            "reshape-add": lambda: ad.add(ad.reshape(a, (4, 3)), ad.reshape(b, (4, 3))),
+            "mul-self": lambda: ad.mul(a, a),
+        }[graph]()
+        root = weighted_mean(out)
+        ad.backward(root)
+        assert a.grad is not None and len(taped_grads(root)) >= 3
+        assert_no_gradient_aliases_another(root)
+
+    def test_a_taped_samples_gradients_are_their_own_and_parameters_c_contiguous(self):
+        # one training sample as train() tapes it, at 16 px
+        params = init_network(ArchConfig(), 0).view()
+        stack = default_rng(6).random((INPUT_CHANNELS, 16, 16))
+        _, probs = forward_graph(params, stack)
+        root = ad.mul(bce_loss_graph(probs, (stack[0] > 0.5).astype(np.float64)), 0.25)
+        ad.backward(root)
+        for name, t in params.tensors.items():
+            assert t.grad is not None and t.grad.shape == t.data.shape and t.grad.flags.c_contiguous, name
+        assert_no_gradient_aliases_another(root)
+
+    def test_a_fresh_first_gradient_is_stored_without_a_copy(self):
+        t, g = Tensor(np.zeros((2, 3)), requires_grad=True), np.ones((2, 3))
+        ad._accumulate(t, g, fresh=True)
+        assert t.grad is g
+        ad._accumulate(t, np.ones((2, 3)), fresh=True)  # later ones are added in place
+        assert t.grad is g and np.array_equal(g, np.full((2, 3), 2.0))
 
     def test_untouched_leaf_keeps_no_grad(self):
         used = Tensor(np.ones(3), requires_grad=True)
@@ -798,6 +876,26 @@ class TestThreadPolicy:
         names = {name for _, name in rows} - {threading.current_thread().name}
         assert len(names) == 1 and names.pop().startswith("tamperloc-")
         assert pool_tasks == [2]
+
+    def test_a_job_out_of_memory_reaches_the_caller_and_the_helper_serves_on(self, policy, pool_tasks):
+        # both calls' two jobs wait for each other, so a helper runs one job
+        # of each; in the first call the helper's job runs out of memory
+        both = threading.Barrier(2, timeout=30)
+        caller = threading.current_thread().name
+
+        def work(job):
+            both.wait()
+            if threading.current_thread().name != caller:
+                raise MemoryError(f"job {job}")
+            return job
+
+        with policy(2):
+            with pytest.raises(MemoryError, match="job"):
+                ad.share(work, range(2))
+            rows = ad.share(lambda job: (both.wait(), job, threading.current_thread().name)[1:], range(2))
+        assert [job for job, _ in rows] == [0, 1]
+        assert len({name for _, name in rows}) == 2
+        assert pool_tasks == [2, 2]
 
     def test_the_caller_runs_every_job_no_helper_started(self, monkeypatch, policy):
         monkeypatch.setattr(ad._pool, "hand_out", lambda call, helpers: None)

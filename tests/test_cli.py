@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tamperloc
+from tamperloc import cli
 from tamperloc.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main, entry
 from tamperloc.datagen import load_manifest
 from tamperloc.core import Frame
@@ -206,6 +207,23 @@ class TestDataErrors:
             ["infer", "--model", str(tmp_path / "no.uvlt"), "--in", str(frame), "--out", str(tmp_path / "m.pgm")]
         )
         assert code == EXIT_DATA
+
+    # numpy's message names the allocation; a bare MemoryError names none
+    @pytest.mark.parametrize(
+        "exc,what",
+        [(MemoryError("Unable to allocate 288. MiB for an array with shape (16, 1536, 1536)"),
+          "Unable to allocate 288. MiB for an array with shape (16, 1536, 1536)"),
+         (MemoryError(), "allocation failed")],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_prints_one_error_line(self, monkeypatch, tmp_path, capsys, exc, what):
+        def runner(args):
+            raise exc
+
+        monkeypatch.setitem(cli._RUNNERS, "infer", runner)
+        paths = [str(tmp_path / name) for name in ("m.uvlt", "f.ppm", "m.pgm")]
+        assert cli_main(["infer", "--model", paths[0], "--in", paths[1], "--out", paths[2]]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: out-of-memory: {what}\n"
 
 
 class TestSynth:
