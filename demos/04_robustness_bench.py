@@ -16,11 +16,12 @@ from tamperloc.metrics import evaluate
 from tamperloc.perturb import perturb_suite
 from tamperloc.train import TrainConfig, train
 
-root = Path(tempfile.mkdtemp(prefix="robustness_"))
-make_dataset(root / "train", count=8, size=64, seed=21, train_fraction=1.0, inpaint_fraction=0.0)
-make_dataset(root / "held", count=4, size=64, seed=2021, train_fraction=0.0, inpaint_fraction=0.0)
-train_items = load_split(root / "train", "train")
-held_items = load_split(root / "held", "eval")
+with tempfile.TemporaryDirectory(prefix="robustness_") as tmp:
+    root = Path(tmp)
+    make_dataset(root / "train", count=8, size=64, seed=21, train_fraction=1.0, inpaint_fraction=0.0)
+    make_dataset(root / "held", count=4, size=64, seed=2021, train_fraction=0.0, inpaint_fraction=0.0)
+    train_items = load_split(root / "train", "train")
+    held_items = load_split(root / "held", "eval")
 
 print("training the plain model...")
 plain, _ = train(TrainConfig(steps=120, seed=21), ArchConfig(), train_items)

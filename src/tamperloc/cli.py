@@ -134,14 +134,13 @@ def _run_extract(args) -> int:
 
 def _run_train(args) -> int:
     items = load_split(args.data, "train")
-    views = _parse_views(args.features)
     cfg = TrainConfig(
         steps=args.steps,
         lr=args.lr,
         batch_size=args.batch,
         seed=args.seed,
         augment=_parse_augment(args.augment),
-        views=views if views is not None else FEATURE_VIEWS,
+        views=_parse_views(args.features),
     )
     params, history = train(cfg, ArchConfig(variant=args.arch), items)
     save_model(args.out, params, cfg.views)
@@ -150,9 +149,14 @@ def _run_train(args) -> int:
     return EXIT_OK
 
 
-def _run_infer(args) -> int:
+def _load_model_and_views(args):
+    """The model at ``--model`` and its train-time views, or the ``--features`` override."""
     params, train_views = load_model(args.model)
-    views = train_views if args.features is None else _parse_views(args.features)
+    return params, train_views if args.features is None else _parse_views(args.features)
+
+
+def _run_infer(args) -> int:
+    params, views = _load_model_and_views(args)
     frame = read_ppm(args.input)
     pred = predict(params, frame, views)
     mask = binarize(pred)
@@ -162,8 +166,7 @@ def _run_infer(args) -> int:
 
 
 def _run_eval(args) -> int:
-    params, train_views = load_model(args.model)
-    views = train_views if args.features is None else _parse_views(args.features)
+    params, views = _load_model_and_views(args)
     items = load_split(args.data, args.split)
     report = evaluate(
         params,
@@ -212,10 +215,7 @@ def cli_main(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         return _RUNNERS[args.command](args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # an input too large for the memory this process has left

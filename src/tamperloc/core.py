@@ -167,8 +167,20 @@ def split_item(entry, index: int) -> "tuple[str, Frame, np.ndarray]":
     return item_id, frame, mask
 
 
+def check_int(value, code: str, what: str, low: int = 1, limit: float = math.inf) -> int:
+    """``value`` as an int; ``code`` unless it is an integer in [``low``, ``limit``).
+
+    Integral floats and numpy scalars count, so ``3.0`` becomes ``3``.
+    """
+    try:
+        ok = low <= value < limit and int(value) == value
+    except (TypeError, ValueError):  # a tuple, a string, an array
+        ok = False
+    if not ok:
+        raise PipelineError(code, f"{what} must be an integer in [{low}, {limit}), got {value!r}")
+    return int(value)
+
+
 def check_seed(seed, limit: float = math.inf) -> int:
     """``seed`` as an int; ``bad-seed`` unless it is an integer in [0, ``limit``)."""
-    if not (0 <= seed < limit and int(seed) == seed):
-        raise PipelineError("bad-seed", f"seed must be an integer in [0, {limit}), got {seed!r}")
-    return int(seed)
+    return check_int(seed, "bad-seed", "seed", 0, limit)

@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Frame, check_seed
+from .core import Frame, check_int, check_seed
 from .errors import PipelineError
 from .formats import read_pgm, read_ppm, write_pgm, write_ppm
 from .perturb import gaussian_blur, quantize_like_jpeg
@@ -392,14 +392,12 @@ def make_dataset(
     manifest; the first round(count * train_fraction) items form the train
     split, the rest eval. Same arguments always regenerate identical bytes.
     """
-    if count < 1:
-        raise PipelineError("bad-count", f"need at least one item, got {count}")
+    count = check_int(count, "bad-count", "item count")
     if not (0.0 <= train_fraction <= 1.0):
         raise PipelineError("bad-split", f"train fraction {train_fraction} outside [0, 1]")
     if not (0.0 <= inpaint_fraction <= 1.0):
         raise PipelineError("bad-split", f"inpaint fraction {inpaint_fraction} outside [0, 1]")
-    if size < BANK_SIDE:
-        raise PipelineError("bad-size", f"frames need size >= {BANK_SIDE} (the texture view's bank), got {size}")
+    size = check_int(size, "bad-size", "frame size (the texture view's bank must fit)", BANK_SIDE)
     seed = check_seed(seed)
 
     n_train = int(round(count * train_fraction))
@@ -424,17 +422,12 @@ def make_dataset(
             )
         manifest = DatasetManifest(
             seed=seed,
-            size=int(size),
+            size=size,
             counts={"train": n_train, "eval": count - n_train},
             items=tuple(items),
         )
         with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-            json.dump(
-                {"seed": manifest.seed, "size": manifest.size, "counts": manifest.counts, "items": items},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         raise PipelineError("io-error", f"cannot write dataset to {out_dir}: {exc}") from exc
@@ -452,18 +445,15 @@ def load_manifest(data_dir) -> DatasetManifest:
         raise PipelineError("bad-manifest", f"{MANIFEST_NAME} in {data_dir}: {exc}") from None
     if not _manifest_schema_ok(doc):
         raise PipelineError("bad-manifest", f"{MANIFEST_NAME} in {data_dir} lacks the corpus fields")
-    return DatasetManifest(
-        seed=doc["seed"],
-        size=doc["size"],
-        counts=doc["counts"],
-        items=tuple(doc["items"]),
-    )
+    return DatasetManifest(doc["seed"], doc["size"], doc["counts"], tuple(doc["items"]))
 
 
 def _manifest_schema_ok(doc) -> bool:
     """The fields ``DatasetManifest`` and ``load_split`` read, with their types.
 
-    A path holding a NUL character cannot be opened, so it is malformed too.
+    A path holding a NUL character cannot be opened, so it is malformed too,
+    and so is an item split other than ``train`` or ``eval``, which both of
+    those splits would skip.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("counts"), dict):
         return False
@@ -472,7 +462,8 @@ def _manifest_schema_ok(doc) -> bool:
     items = doc.get("items")
     return isinstance(items, list) and all(
         isinstance(item, dict)
-        and all(isinstance(item.get(key), str) and "\0" not in item[key] for key in ("frame", "mask", "split"))
+        and all(isinstance(item.get(key), str) and "\0" not in item[key] for key in ("frame", "mask"))
+        and item.get("split") in ("train", "eval")
         for item in items
     )
 

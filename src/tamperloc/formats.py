@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Frame
 from .errors import PipelineError
-from .fusion import ArchConfig, FEATURE_VIEWS, ParamStore, VARIANTS, check_views, param_spec
+from .fusion import ArchConfig, FEATURE_VIEWS, ParamStore, check_views, param_spec
 from .autodiff import Tensor
 from .metrics import MetricsReport
 
@@ -182,24 +182,13 @@ def save_model(path, params: ParamStore, views: "Sequence[str] | None" = None) -
     A parameter that is not finite once narrowed to float32 is
     ``non-finite-parameter``, and nothing is written.
     """
-    cfg = params.arch
     chosen = check_views(views)
     with np.errstate(over="ignore"):
         for name, t in params.tensors.items():
             if not np.isfinite(t.data.astype(np.float32)).all():
                 raise PipelineError("non-finite-parameter", f"{name} is not finite in float32")
-    arch_row = [
-        float(VARIANTS.index(cfg.variant)),
-        float(cfg.input_channels),
-        *(float(v) for v in cfg.stage1_widths),
-        float(cfg.branch_width),
-        float(cfg.token_dim),
-        float(cfg.heads),
-        float(cfg.encoder_layers),
-        float(cfg.mlp_ratio),
-    ]
     records = [
-        (_META_ARCH, np.asarray(arch_row)),
+        (_META_ARCH, np.asarray(params.arch.row(), dtype=np.float64)),
         (_META_FEATURES, np.asarray([1.0 if v in chosen else 0.0 for v in FEATURE_VIEWS])),
         (_META_SEED, np.asarray([params.seed // 2**24, params.seed % 2**24], dtype=np.float64)),
     ]
@@ -225,20 +214,8 @@ def load_model(path) -> tuple[ParamStore, tuple[str, ...]]:
     for key in (_META_ARCH, _META_FEATURES, _META_SEED):
         if key not in table:
             raise PipelineError("corrupt-record", f"missing {key}")
-    row = _integer_row(table, _META_ARCH, 10)
-    if not 0 <= row[0] < len(VARIANTS):
-        raise PipelineError("corrupt-record", f"unknown variant index {row[0]}")
     try:
-        cfg = ArchConfig(
-            variant=VARIANTS[row[0]],
-            input_channels=row[1],
-            stage1_widths=(row[2], row[3], row[4]),
-            branch_width=row[5],
-            token_dim=row[6],
-            heads=row[7],
-            encoder_layers=row[8],
-            mlp_ratio=row[9],
-        )
+        cfg = ArchConfig.from_row(_integer_row(table, _META_ARCH, len(ArchConfig().row())))
     except PipelineError as exc:
         raise PipelineError("corrupt-record", f"{_META_ARCH}: {exc}") from None
     high, low = _integer_row(table, _META_SEED, 2)

@@ -18,14 +18,14 @@ runs the same ops under ``no_grad`` and keeps no tape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import RGB_LABELS, FeatureStack, Frame, check_seed
+from .core import RGB_LABELS, FeatureStack, Frame, check_int, check_seed
 from .edge import EDGE_LABELS, edge_features
 from .errors import PipelineError
 from .frequency import FREQUENCY_LABELS, frequency_features
@@ -68,19 +68,32 @@ class ArchConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise PipelineError("bad-arch", f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        fields = (
-            self.input_channels,
-            *self.stage1_widths,
-            self.branch_width,
-            self.token_dim,
-            self.heads,
-            self.encoder_layers,
-            self.mlp_ratio,
-        )
-        if len(self.stage1_widths) != 3 or any(int(v) != v or v < 1 for v in fields):
-            raise PipelineError("bad-arch", "all widths/counts must be positive integers")
+        if not isinstance(self.stage1_widths, (tuple, list)) or len(self.stage1_widths) != 3:
+            raise PipelineError("bad-arch", f"stage1_widths must be three widths, got {self.stage1_widths!r}")
+        sizes = [check_int(v, "bad-arch", "every width and count") for v in self.row()[1:]]
+        for f, value in zip(fields(self)[1:], _by_field(sizes)):
+            object.__setattr__(self, f.name, value)
         if self.token_dim % self.heads:
             raise PipelineError("bad-arch", f"token_dim {self.token_dim} not divisible by heads {self.heads}")
+
+    def row(self) -> tuple:
+        """The variant's index in ``VARIANTS``, then every width and count in
+        field order: the ``meta.arch`` row of a saved model."""
+        return (VARIANTS.index(self.variant), self.input_channels, *self.stage1_widths,
+                self.branch_width, self.token_dim, self.heads, self.encoder_layers, self.mlp_ratio)
+
+    @classmethod
+    def from_row(cls, row) -> "ArchConfig":
+        """The configuration whose :meth:`row` is ``row``; ``bad-arch`` if there is none."""
+        if len(row) != len(cls().row()):
+            raise PipelineError("bad-arch", f"an arch row holds {len(cls().row())} values, got {len(row)}")
+        index = check_int(row[0], "bad-arch", "the variant index", 0, len(VARIANTS))
+        return cls(VARIANTS[index], *_by_field(row[1:]))
+
+
+def _by_field(sizes) -> tuple:
+    """A row's widths and counts grouped as ``ArchConfig``'s fields after ``variant``."""
+    return (sizes[0], tuple(sizes[1:4]), *sizes[4:])
 
 
 def micro_arch(variant: str = "cnn_vit") -> ArchConfig:

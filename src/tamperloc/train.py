@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import Frame, split_item
+from .core import Frame, check_int, split_item
 from .errors import PipelineError
 from .fusion import (
     FEATURE_VIEWS,
@@ -48,10 +48,8 @@ class TrainConfig:
     views: tuple[str, ...] = FEATURE_VIEWS
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise PipelineError("bad-config", f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise PipelineError("bad-config", f"batch size must be >= 1, got {self.batch_size}")
+        object.__setattr__(self, "steps", check_int(self.steps, "bad-config", "steps"))
+        object.__setattr__(self, "batch_size", check_int(self.batch_size, "bad-config", "batch size"))
         if not (0.0 < self.lr < float("inf")):
             raise PipelineError("bad-config", f"learning rate must be positive and finite, got {self.lr}")
         object.__setattr__(self, "augment", tuple(self.augment))

@@ -9,6 +9,7 @@ from tamperloc.core import (
     PipelineError,
     affine_map_to_unit,
     apply_kernel_bank,
+    check_int,
     check_seed,
     luminance,
 )
@@ -209,13 +210,35 @@ class TestLuminance:
 
 
 
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [1, 3.0, np.int64(2), np.float64(5), True, 2**70])
+    def test_returns_integral_values_as_ints(self, value):
+        got = check_int(value, "bad-thing", "thing")
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -2, 1.5, float("nan"), float("inf"), float("-inf"), (1,), "1", None, np.array([1, 2]), False],
+        ids=["zero", "negative", "fractional", "nan", "inf", "minus-inf", "tuple", "string", "none", "array", "false"],
+    )
+    def test_rejects_everything_else_with_the_given_code(self, value):
+        with pytest.raises(PipelineError, match="bad-thing"):
+            check_int(value, "bad-thing", "thing")
+
+    def test_range_is_half_open(self):
+        assert check_int(3, "bad-thing", "thing", 3, 4) == 3
+        for value in (2, 4):
+            with pytest.raises(PipelineError, match="bad-thing"):
+                check_int(value, "bad-thing", "thing", 3, 4)
+
+
 class TestCheckSeed:
     @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 5.0, 2**60])
     def test_returns_the_seed_as_an_int(self, seed):
         got = check_seed(seed)
         assert type(got) is int and got == seed
 
-    @pytest.mark.parametrize("seed", [-1, -0.5, 1.5, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("seed", [-1, -0.5, 1.5, float("nan"), float("inf"), float("-inf"), (3,), "3"])
     def test_rejects_negative_fractional_and_non_finite(self, seed):
         with pytest.raises(PipelineError, match="bad-seed"):
             check_seed(seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from tamperloc.cli import EXIT_DATA, cli_main
 from tamperloc.datagen import (
     MANIFEST_NAME,
     MASK_FRACTION_BOUNDS,
@@ -313,6 +315,24 @@ class TestMakeDataset:
         with pytest.raises(PipelineError, match="bad-split"):
             make_dataset(tmp_path, count=2, size=64, seed=0, inpaint_fraction=-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs,code",
+        [(dict(count=2.5), "bad-count"), (dict(count=float("nan")), "bad-count"), (dict(count=(2,)), "bad-count"),
+         (dict(size=32.5), "bad-size"), (dict(size=float("inf")), "bad-size"), (dict(size="32"), "bad-size")],
+        ids=["fractional-count", "nan-count", "tuple-count", "fractional-size", "inf-size", "string-size"],
+    )
+    def test_rejects_non_integer_count_and_size_before_creating_the_directory(self, tmp_path, kwargs, code):
+        with pytest.raises(PipelineError, match=code):
+            make_dataset(tmp_path / "out", **{"count": 2, "size": 32, "seed": 0, **kwargs})
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_count_and_size_write_the_same_corpus(self, tmp_path):
+        make_dataset(tmp_path / "a", count=2, size=32, seed=4)
+        manifest = make_dataset(tmp_path / "b", count=2.0, size=np.float64(32), seed=4)
+        assert type(manifest.size) is int and len(manifest.items) == 2
+        for name in sorted(os.listdir(tmp_path / "a")):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     @pytest.mark.parametrize("seed", [-1, 2.5, float("nan")])
     def test_rejects_bad_seed_before_creating_the_directory(self, tmp_path, seed):
         with pytest.raises(PipelineError, match="bad-seed"):
@@ -360,6 +380,25 @@ class TestMakeDataset:
         (tmp_path / MANIFEST_NAME).write_bytes(blob)
         with pytest.raises(PipelineError, match="bad-manifest"):
             load_split(tmp_path, "all")
+
+    @pytest.mark.parametrize("split", ["tr4in", "all", "", None, 1])
+    def test_item_split_other_than_train_or_eval_is_bad_manifest(self, tmp_path, split):
+        make_dataset(tmp_path, count=4, size=32, seed=2)
+        doc = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        doc["items"][1]["split"] = split
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(doc))
+        for which in ("train", "eval", "all"):
+            with pytest.raises(PipelineError, match="bad-manifest"):
+                load_split(tmp_path, which)
+        code = cli_main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.uvlt"), "--steps", "1"])
+        assert code == EXIT_DATA
+        assert not (tmp_path / "m.uvlt").exists()
+
+    def test_manifest_document_is_the_dataclass(self, tmp_path):
+        manifest = make_dataset(tmp_path, count=3, size=32, seed=6)
+        doc = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert sorted(doc) == sorted(f.name for f in dataclasses.fields(DatasetManifest))
+        assert load_manifest(tmp_path) == manifest
 
     def test_load_split_ids_follow_manifest_order(self, tmp_path):
         make_dataset(tmp_path, count=4, size=64, seed=2, train_fraction=0.5)

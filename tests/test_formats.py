@@ -24,7 +24,7 @@ from tamperloc.formats import (
     write_report,
     write_tensorfile,
 )
-from tamperloc.fusion import forward, init_network, micro_arch
+from tamperloc.fusion import ArchConfig, forward, init_network, micro_arch
 from tamperloc.metrics import FrameMetrics, MetricsReport
 
 
@@ -250,6 +250,14 @@ class TestModelContainer:
         assert loaded.arch == cfg
         assert loaded.seed == 123456789
         assert views == ("texture", "pixel")
+
+    @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_only", "vit_cnn"])
+    def test_arch_record_is_the_config_row(self, tmp_path, variant):
+        cfg = ArchConfig(variant=variant)
+        path = tmp_path / "m.uvlt"
+        save_model(path, init_network(cfg, 1))
+        assert dict(read_tensorfile(path))["meta.arch"].tolist() == list(cfg.row())
+        assert load_model(path)[0].arch == cfg
 
     def test_round_trip_recovers_largest_seed(self, tmp_path):
         path = tmp_path / "m.uvlt"

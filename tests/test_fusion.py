@@ -80,6 +80,41 @@ class TestArchConfig:
         with pytest.raises(PipelineError, match="bad-arch"):
             ArchConfig(branch_width=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(token_dim=64.5), dict(heads=float("nan")), dict(mlp_ratio=float("inf")), dict(branch_width=(16,)),
+         dict(stage1_widths=32), dict(stage1_widths=(32, 32)), dict(stage1_widths=(32.5, 32, 64))],
+        ids=["fractional", "nan", "inf", "tuple", "widths-not-a-tuple", "two-widths", "fractional-width"],
+    )
+    def test_rejects_non_integer_sizes(self, kwargs):
+        with pytest.raises(PipelineError, match="bad-arch"):
+            ArchConfig(**kwargs)
+
+    def test_integral_sizes_become_ints(self):
+        cfg = ArchConfig(token_dim=64.0, stage1_widths=[32.0, np.int64(32), 64], heads=np.float64(4))
+        assert cfg == ArchConfig()
+        assert all(type(v) is int for v in cfg.row())
+        assert type(cfg.stage1_widths) is tuple
+        assert param_spec(cfg) == param_spec(ArchConfig())
+        init_network(cfg, 0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_row_is_the_variant_index_then_every_size_in_field_order(self, variant):
+        cfg = micro_arch(variant)
+        assert cfg.row() == (VARIANTS.index(variant), 3, 4, 4, 8, 2, 8, 2, 1, 2)
+        assert ArchConfig.from_row(cfg.row()) == cfg
+        assert ArchConfig().row() == (0, INPUT_CHANNELS, 32, 32, 64, 16, 64, 4, 2, 2)
+
+    @pytest.mark.parametrize(
+        "row",
+        [(-1, 3, 4, 4, 8, 2, 8, 2, 1, 2), (4, 3, 4, 4, 8, 2, 8, 2, 1, 2), (0.5, 3, 4, 4, 8, 2, 8, 2, 1, 2),
+         (0, 3, 4, 4, 8, 2, 8, 2, 1), (0, 3, 4, 4, 8, 2, 8, 2, 1, 2, 2), ()],
+        ids=["variant-minus-1", "variant-past-end", "fractional-variant", "short", "long", "empty"],
+    )
+    def test_from_row_rejects_a_row_naming_no_configuration(self, row):
+        with pytest.raises(PipelineError, match="bad-arch"):
+            ArchConfig.from_row(row)
+
 
 class TestInitNetwork:
     def test_same_seed_reproduces_identical_bytes(self):

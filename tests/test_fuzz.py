@@ -1,13 +1,18 @@
 """Property tests: byte flips, truncations and insertions of every file the package reads,
-and arbitrary perturbation spec strings.
+arbitrary perturbation spec strings, and arbitrary sizes and counts for the
+constructors that take them.
 
 The files are a saved model, a bare tensor container, a PPM frame, a PGM mask
 and a corpus manifest. Every mutated file either loads to a valid result or
 raises ``PipelineError``, and ``tamperloc infer`` on a mutated model or frame
 exits 0 or 2. A spec string parses to a ``PerturbSpec`` with a finite
-parameter or raises ``PipelineError``. Examples are derandomized, so the same
-inputs run every time.
+parameter or raises ``PipelineError``. A training config, network shape or
+corpus request either builds something ``train``, ``init_network`` or
+``make_dataset`` accepts or raises ``PipelineError``. Examples are
+derandomized, so the same inputs run every time.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -28,8 +33,9 @@ from tamperloc.formats import (
     write_ppm,
     write_tensorfile,
 )
-from tamperloc.fusion import ArchConfig, init_network, micro_arch
+from tamperloc.fusion import INPUT_CHANNELS, VARIANTS, ArchConfig, forward, init_network, micro_arch
 from tamperloc.perturb import KINDS, PerturbSpec, parse_spec
+from tamperloc.train import TrainConfig, train
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
 # each example runs the full network on a 25 px frame, about 6 ms
@@ -59,6 +65,21 @@ def mutations(draw, blob: bytes) -> bytes:
     for _ in range(draw(st.integers(1, 4))):
         data[draw(at)] ^= draw(st.integers(1, 255))
     return bytes(data)
+
+
+def sizes(low: int, high: int):
+    """Integers in [low, high] as ints, numpy ints and floats, fractions in
+    that range, NaN, the infinities, bools and one-integer tuples."""
+    ints = st.integers(low, high)
+    return st.one_of(
+        ints,
+        ints.map(np.int64),
+        ints.map(float),
+        st.floats(low, high).filter(lambda v: not v.is_integer()),
+        st.sampled_from((math.nan, math.inf, -math.inf)),
+        st.booleans(),
+        st.tuples(ints),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -206,5 +227,63 @@ def test_perturbation_spec_parses_or_raises(kind):
             return
         assert isinstance(spec, PerturbSpec)
         assert spec.param is None or np.isfinite(spec.param)
+
+    check()
+
+
+def test_train_config_trains_or_raises():
+    # RGB-only 8 px frames and narrow layers keep an accepted draw to a few milliseconds
+    arch = ArchConfig(input_channels=INPUT_CHANNELS, stage1_widths=(2, 2, 2), branch_width=1, token_dim=2, heads=1,
+                      encoder_layers=1, mlp_ratio=1)
+    items = [(Frame(np.full((3, 8, 8), 0.5)), np.eye(8))]
+
+    @FUZZ
+    @given(sizes(0, 3), sizes(0, 3))
+    def check(steps, batch_size):
+        try:
+            cfg = TrainConfig(steps=steps, batch_size=batch_size, views=())
+        except PipelineError:
+            return
+        _, history = train(cfg, arch, items)
+        assert len(history) == steps
+
+    check()
+
+
+def test_arch_config_builds_a_network_or_raises():
+    # a small valid shape with up to three fields replaced, so that a fair share of the draws builds a network
+    base = dict(input_channels=3, stage1_widths=(2, 2, 2), branch_width=1, token_dim=4, heads=2, encoder_layers=1,
+                mlp_ratio=1)
+    width = sizes(0, 4)
+    widths = st.one_of(width, st.tuples(width, width, width), st.tuples(width, width))
+    override = st.sampled_from(sorted(base)).flatmap(
+        lambda name: st.tuples(st.just(name), widths if name == "stage1_widths" else width)
+    )
+
+    @FUZZ
+    @given(st.sampled_from(VARIANTS), st.lists(override, max_size=3))
+    def check(variant, overrides):
+        try:
+            cfg = ArchConfig(variant, **{**base, **dict(overrides)})
+        except PipelineError:
+            return
+        assert ArchConfig.from_row(cfg.row()) == cfg
+        probs = forward(init_network(cfg, 0), np.full((cfg.input_channels, 8, 8), 0.5))
+        assert probs.shape == (8, 8)
+
+    check()
+
+
+def test_make_dataset_writes_or_raises(tmp_path):
+    @FUZZ
+    @given(sizes(0, 2), sizes(24, 32))
+    def check(count, size):
+        try:
+            manifest = make_dataset(tmp_path, count=count, size=size, seed=0)
+        except PipelineError:
+            return
+        items = load_split(tmp_path, "all")
+        assert len(items) == len(manifest.items) == count
+        assert all(frame.data.shape == (3, size, size) for _, frame, _ in items)
 
     check()

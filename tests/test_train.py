@@ -53,11 +53,18 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(steps=0), dict(steps=5, batch_size=0), dict(steps=5, lr=0.0), dict(steps=5, lr=-1.0), dict(steps=5, lr=float("inf"))],
+        [dict(steps=0), dict(steps=5, batch_size=0), dict(steps=5, lr=0.0), dict(steps=5, lr=-1.0), dict(steps=5, lr=float("inf")),
+         dict(steps=2.5), dict(steps=float("nan")), dict(steps=float("inf")), dict(steps=(2,)), dict(steps=2, batch_size=1.5)],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(PipelineError, match="bad-config"):
             TrainConfig(**kwargs)
+
+    def test_integral_counts_become_ints(self):
+        cfg = TrainConfig(steps=2.0, batch_size=np.int64(2), views=())
+        assert (type(cfg.steps), type(cfg.batch_size)) == (int, int)
+        _, history = train(cfg, ArchConfig(), balanced_items(2, 16))
+        assert len(history) == 2
 
     def test_normalises_views_and_augment(self):
         cfg = TrainConfig(steps=1, views=["pixel", "texture"], augment=[PerturbSpec("flip")])
