@@ -27,7 +27,10 @@ benchmark's tracer wraps it by name. ``attention`` is one fused op for
 scaled dot-product attention; it works through cache-sized tiles of query
 rows, so its memory grows linearly in the token count, and keeps only each
 row's log-sum-exp for the backward pass, as in FlashAttention-2 (Dao, arXiv
-2307.08691). Each head is one job, with its own tile, which stays in the L2
+2307.08691). It shifts scores by their row max only when the Cauchy-Schwarz
+bound ``|scale| * max |q_i| * max |k_j|`` exceeds ``EXP_SAFE``; below it a
+tile takes two elementwise passes over its scores forward and three
+backward. Each head is one job, with its own tile, which stays in the L2
 of the core that runs it. ``conv2d`` likewise works through bands of output
 rows, one job per forward band: it splits each band's padded input rows
 into stride x stride phase planes and runs one gemm per kernel tap over a
@@ -60,6 +63,11 @@ LAYER_NORM_EPS = 1e-12
 # tile is max(1, ATTENTION_BLOCK // n_keys) query rows: 56 at 2304 tokens
 # (192 px frames), the whole head at 256 tokens (64 px).
 ATTENTION_BLOCK = 2**17
+
+# Largest score bound at which attention skips its row-max shift. Unshifted,
+# every exp lies in [e^-64, e^64], so no row sum overflows below 10^250 keys
+# and none underflows to 0; exp itself overflows only past 709.
+EXP_SAFE = 64.0
 
 # Output pixels per conv2d band in the backward pass; forward bands, one
 # share job each, take half as many. With im2col columns, over the three
@@ -474,17 +482,27 @@ def attention(q, k, v, scale: float) -> Tensor:
     backward, with its own tile buffers; inside a ``thread_policy`` block
     that shares nothing else, such as ``predict`` on one frame, the heads
     run on one worker per core. A head runs the same ops in the same order
-    on any thread, so the bytes do not depend on the worker count. A tile
-    takes four elementwise passes over its scores (max, subtract, exp, sum)
-    and divides the (rows, dh) output by the row sums, never the
-    probabilities. Every row's log-sum-exp is kept, so the backward pass
-    rebuilds a tile's probabilities as ``exp(scale * q k^T - lse)`` and uses
+    on any thread, so the bytes do not depend on the worker count.
+
+    Before any head runs, one decision is made from the inputs alone: by
+    Cauchy-Schwarz every score satisfies ``|score| <= |scale| * max_i |q_i|
+    * max_j |k_j|``. When that bound is at most ``EXP_SAFE``, ``exp`` of the
+    raw scores can neither overflow nor underflow, so no tile is shifted by
+    its row max; otherwise (NaN and inf included) every tile is. A forward
+    tile takes two elementwise passes over its scores (exp, sum), four when
+    shifted (max, subtract, exp, sum), and divides the (rows, dh) output by
+    the row sums, never the probabilities. Every row's log-sum-exp is kept,
+    so the backward pass rebuilds a tile's probabilities and uses
     ``rowsum(g * out)`` in place of ``rowsum(dP * P)``, as in
-    FlashAttention-2 (Dao, arXiv 2307.08691).
+    FlashAttention-2 (Dao, arXiv 2307.08691). Unshifted, it takes three
+    passes (exp, subtract, multiply): the probabilities are ``exp(s) * w``
+    with ``w = exp(-lse)`` per row, and ``w`` scales the (rows, dh) output
+    gradient and row sums instead of the tile. Shifted, it takes four, with
+    ``exp(s - lse)``.
     Beyond the inputs, the output and the gradients, forward and backward
     hold one tile of scores per running head and heads * n row statistics,
     never the O(heads * n^2) score matrix; the tape keeps only the
-    log-sum-exp.
+    log-sum-exp and the shift decision.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     qd, kd, vd = q.data, k.data, v.data
@@ -496,6 +514,8 @@ def attention(q, k, v, scale: float) -> Tensor:
         or kd.shape[1] == 0
     ):
         raise PipelineError("shape-mismatch", f"attention q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    q2, k2 = (np.einsum("...i,...i->...", a, a).max(initial=0.0) for a in (qd, kd))
+    shift = not (abs(scale) * math.sqrt(q2) * math.sqrt(k2) <= EXP_SAFE)  # a NaN bound shifts too
     heads, n, _ = qd.shape
     rows = max(1, ATTENTION_BLOCK // kd.shape[1])
     tiles = [slice(lo, lo + rows) for lo in range(0, n, rows)]
@@ -512,13 +532,14 @@ def attention(q, k, v, scale: float) -> Tensor:
         buf = np.empty(tile)  # reused by every tile of this head; never kept by the tape
         for t in tiles:
             _, s = scores(h, t, buf)
-            m = s.max(axis=1, keepdims=True)
-            s -= m
+            if shift:
+                m = s.max(axis=1, keepdims=True)
+                s -= m
             np.exp(s, out=s)
             z = s.sum(axis=1, keepdims=True)
             np.matmul(s, vd[h], out=out[h, t])
             out[h, t] /= z
-            lse[h, t] = m + np.log(z)
+            lse[h, t] = m + np.log(z) if shift else np.log(z)
 
     share(forward_head, range(heads))
 
@@ -527,19 +548,23 @@ def attention(q, k, v, scale: float) -> Tensor:
         rowdot = (g * out).sum(axis=-1, keepdims=True)  # rowsum(dP * P), per query row
 
         def backward_head(h):
-            pbuf, dsbuf = np.empty(tile), np.empty(tile)
+            pbuf, dsbuf, prod = np.empty(tile), np.empty(tile), np.empty(kd.shape[1:])
             for t in tiles:
                 qs, p = scores(h, t, pbuf)
-                p -= lse[h, t]
+                if shift:
+                    p -= lse[h, t]
+                    gt, rd = g[h, t], rowdot[h, t]
+                else:
+                    w = np.exp(-lse[h, t])
+                    gt, rd = g[h, t] * w, rowdot[h, t] * w
                 np.exp(p, out=p)
-                gt = g[h, t]
-                dv[h] += p.T @ gt
+                dv[h] += np.matmul(p.T, gt, out=prod)
                 ds = np.matmul(gt, vd[h].T, out=dsbuf[: len(qs)])
-                ds -= rowdot[h, t]
+                ds -= rd
                 ds *= p
                 np.matmul(ds, kd[h], out=dq[h, t])
                 dq[h, t] *= scale
-                dk[h] += ds.T @ qs
+                dk[h] += np.matmul(ds.T, qs, out=prod)
 
         share(backward_head, range(heads))
         _accumulate(q, dq, fresh=True)

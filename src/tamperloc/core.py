@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,23 @@ def check_int(value, code: str, what: str, low: int = 1, limit: float = math.inf
     if not ok:
         raise PipelineError(code, f"{what} must be an integer in [{low}, {limit}), got {value!r}")
     return int(value)
+
+
+def check_real(value, code: str, what: str, low: float, high: float, low_open: bool = False) -> float:
+    """``value`` as a float; ``code`` unless it is a finite real number in
+    [``low``, ``high``], or in (``low``, ``high``] when ``low_open``.
+
+    Ints and numpy scalars count; a string, a tuple, an array, NaN and
+    +-inf do not.
+    """
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    if not (math.isfinite(x) and (low < x if low_open else low <= x) and x <= high):
+        interval = f"{'(' if low_open else '['}{low}, {high}]"
+        raise PipelineError(code, f"{what} must be a finite number in {interval}, got {value!r}")
+    return x
 
 
 def check_seed(seed, limit: float = math.inf) -> int:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Frame, check_int, check_seed
+from .core import Frame, check_int, check_real, check_seed
 from .errors import PipelineError
 from .formats import read_pgm, read_ppm, write_pgm, write_ppm
 from .perturb import gaussian_blur, quantize_like_jpeg
@@ -393,10 +393,8 @@ def make_dataset(
     split, the rest eval. Same arguments always regenerate identical bytes.
     """
     count = check_int(count, "bad-count", "item count")
-    if not (0.0 <= train_fraction <= 1.0):
-        raise PipelineError("bad-split", f"train fraction {train_fraction} outside [0, 1]")
-    if not (0.0 <= inpaint_fraction <= 1.0):
-        raise PipelineError("bad-split", f"inpaint fraction {inpaint_fraction} outside [0, 1]")
+    train_fraction = check_real(train_fraction, "bad-split", "train fraction", 0.0, 1.0)
+    inpaint_fraction = check_real(inpaint_fraction, "bad-split", "inpaint fraction", 0.0, 1.0)
     size = check_int(size, "bad-size", "frame size (the texture view's bank must fit)", BANK_SIDE)
     seed = check_seed(seed)
 

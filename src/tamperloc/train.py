@@ -9,6 +9,7 @@ position, so reordering a batch cannot change any sample's forward result.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import Frame, check_int, split_item
+from .core import Frame, check_int, check_real, split_item
 from .errors import PipelineError
 from .fusion import (
     FEATURE_VIEWS,
@@ -50,8 +51,8 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "steps", check_int(self.steps, "bad-config", "steps"))
         object.__setattr__(self, "batch_size", check_int(self.batch_size, "bad-config", "batch size"))
-        if not (0.0 < self.lr < float("inf")):
-            raise PipelineError("bad-config", f"learning rate must be positive and finite, got {self.lr}")
+        lr = check_real(self.lr, "bad-config", "learning rate", 0.0, math.inf, low_open=True)
+        object.__setattr__(self, "lr", lr)
         object.__setattr__(self, "augment", tuple(self.augment))
         object.__setattr__(self, "views", check_views(self.views))
 

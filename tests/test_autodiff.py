@@ -88,6 +88,20 @@ def qkv(seed, heads, n, dh):
     return [rng.normal(size=(heads, n, dh)) * 2.0 for _ in range(3)]
 
 
+def score_bound(q, k, scale):
+    """The Cauchy-Schwarz bound on every score ``scale * q_i . k_j``."""
+    return abs(scale) * np.linalg.norm(q, axis=-1).max() * np.linalg.norm(k, axis=-1).max()
+
+
+def exp_paths(monkeypatch):
+    """Yield twice: at the default ``EXP_SAFE``, where the inputs the tests
+    use take attention's unshifted path, and at 0, where every call shifts
+    its scores by the row max."""
+    for safe in (ad.EXP_SAFE, 0.0):
+        monkeypatch.setattr(ad, "EXP_SAFE", safe)
+        yield
+
+
 def whole_frame_pad_conv2d(x, w, b, g, stride, pad, pad_mode, block):
     """(out, dx, dw, db) of ``conv2d`` with output gradient ``g``, computed
     from the whole input padded once: its stride x stride phase planes are
@@ -200,24 +214,52 @@ class TestForwardValues:
         # equal to 8, tiles that do not divide n, and tiles that do
         monkeypatch.setattr(ad, "ATTENTION_BLOCK", 8 * n)
         q, k, v = qkv(n, 3, n, 4)
-        got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
-        np.testing.assert_allclose(got, dense_attention(q, k, v, 0.5), rtol=1e-12, atol=1e-12)
+        assert score_bound(q, k, 0.5) <= ad.EXP_SAFE
+        for _ in exp_paths(monkeypatch):
+            got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+            np.testing.assert_allclose(got, dense_attention(q, k, v, 0.5), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("block", [0, 6, 7, 13])
     def test_attention_one_row_tiles_match_dense(self, monkeypatch, block):
         # any budget below two rows of 7 keys gives 1-row tiles
         monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
         q, k, v = qkv(block, 2, 7, 3)
-        got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
-        np.testing.assert_allclose(got, dense_attention(q, k, v, 0.5), rtol=1e-12, atol=1e-12)
+        assert score_bound(q, k, 0.5) <= ad.EXP_SAFE
+        for _ in exp_paths(monkeypatch):
+            got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+            np.testing.assert_allclose(got, dense_attention(q, k, v, 0.5), rtol=1e-12, atol=1e-12)
 
-    def test_attention_default_block_matches_dense(self):
+    def test_attention_default_block_matches_dense(self, monkeypatch):
         n = 600
         rows = ad.ATTENTION_BLOCK // n
         assert 2 * rows < n < 3 * rows  # two full tiles and a remainder
         q, k, v = qkv(3, 2, n, 8)
-        got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 8**-0.5).data
-        np.testing.assert_allclose(got, dense_attention(q, k, v, 8**-0.5), rtol=1e-12, atol=1e-12)
+        assert score_bound(q, k, 8**-0.5) <= ad.EXP_SAFE
+        for _ in exp_paths(monkeypatch):
+            got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 8**-0.5).data
+            np.testing.assert_allclose(got, dense_attention(q, k, v, 8**-0.5), rtol=1e-12, atol=1e-12)
+
+    def test_attention_shifts_scores_beyond_the_exp_range(self):
+        # scores reach thousands, past exp's overflow at 709: unshifted, exp
+        # would overflow, and the RuntimeWarning it raises fails the test
+        q, k, v = (a * 40.0 for a in qkv(8, 2, 30, 4))
+        assert score_bound(q, k, 0.5) > 709
+        got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+        np.testing.assert_allclose(got, dense_attention(q, k, v, 0.5), rtol=1e-12, atol=1e-12)
+
+    def test_attention_unshifted_just_below_the_bound(self):
+        # a query row along a key row and another key row opposite it give
+        # scores of about +-EXP_SAFE, the most that skips the shift
+        q, k, v = qkv(9, 2, 30, 4)
+        u = q[0, 0] / np.linalg.norm(q[0, 0])
+        q[0, 0], k[0, 0], k[0, 1] = u * 3.0, u * 2.0, -u * 2.0
+        scale = ad.EXP_SAFE * (1 - 1e-9) / score_bound(q, k, 1.0)
+        assert ad.EXP_SAFE - 1e-6 < score_bound(q, k, scale) <= ad.EXP_SAFE
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = ad.attention(*leaves, scale)
+        np.testing.assert_allclose(out.data, dense_attention(q, k, v, scale), rtol=1e-12, atol=1e-12)
+        ad.backward(weighted_mean(out))
+        assert all(np.isfinite(t.grad).all() for t in leaves)
 
     @staticmethod
     def attention_peak(heads, n, dh):
@@ -243,9 +285,10 @@ class TestForwardValues:
         assert peak < tile + out_bytes + heads * n * 8 + (128 << 10)
 
     def test_attention_memory_is_bounded_by_one_tile_per_worker(self, policy, pool_tasks):
-        # each worker holds a tile and about 72 KB of row-sized temporaries,
-        # 54 KiB of them the three n-element buffers numpy's iterator makes
-        # for the broadcast `s -= m`; the dense scores would be 170 MB
+        # each worker holds a tile and some row-sized temporaries; these
+        # inputs (score bound 53) skip the max shift, whose broadcast
+        # `s -= m` would add three n-element iterator buffers, 54 KiB; the
+        # dense scores would be 170 MB
         heads, n = 4, 2304
         with policy(2):
             peak, out_bytes = self.attention_peak(heads, n, 16)
@@ -533,10 +576,10 @@ class TestBackward:
     def test_attention_spanning_three_blocks(self, monkeypatch):
         # tiles of 4 rows of 10 keys: 4, 4 and 2 query rows per head
         monkeypatch.setattr(ad, "ATTENTION_BLOCK", 40)
-        check_gradients(
-            lambda ts: weighted_mean(ad.attention(ts[0], ts[1], ts[2], 0.7)),
-            [a * 0.5 for a in qkv(19, 2, 10, 3)],
-        )
+        arrays = [a * 0.5 for a in qkv(19, 2, 10, 3)]
+        assert score_bound(arrays[0], arrays[1], 0.7) <= ad.EXP_SAFE
+        for _ in exp_paths(monkeypatch):
+            check_gradients(lambda ts: weighted_mean(ad.attention(ts[0], ts[1], ts[2], 0.7)), arrays)
 
     def test_layer_norm(self):
         check_gradients(lambda ts: weighted_mean(ad.layer_norm(ts[0])), [default_rng(20).normal(size=(3, 6))])
@@ -680,13 +723,17 @@ class TestAttentionWorkers:
         # and 2 rows; 5 rows and a 2-row remainder
         if block is not None:
             monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
-        with policy(1):
-            inline = self.output_and_gradient_bytes(heads, n, 8, seed=n)
-        assert pool_tasks == []
-        with policy(2):
-            threaded = self.output_and_gradient_bytes(heads, n, 8, seed=n)
-        assert pool_tasks == [heads, heads]  # one job per head forward, one per head backward
-        assert threaded == inline
+        q, k, _ = qkv(n, heads, n, 8)
+        assert score_bound(q, k, 8**-0.5) <= ad.EXP_SAFE
+        for _ in exp_paths(monkeypatch):
+            with policy(1):
+                inline = self.output_and_gradient_bytes(heads, n, 8, seed=n)
+            assert pool_tasks == []
+            with policy(2):
+                threaded = self.output_and_gradient_bytes(heads, n, 8, seed=n)
+            assert pool_tasks == [heads, heads]  # one job per head forward, one per head backward
+            assert threaded == inline
+            pool_tasks.clear()
 
     @pytest.mark.parametrize(
         "environ, workers",

@@ -10,6 +10,7 @@ from tamperloc.core import (
     affine_map_to_unit,
     apply_kernel_bank,
     check_int,
+    check_real,
     check_seed,
     luminance,
 )
@@ -230,6 +231,30 @@ class TestCheckInt:
         for value in (2, 4):
             with pytest.raises(PipelineError, match="bad-thing"):
                 check_int(value, "bad-thing", "thing", 3, 4)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0.5, 1, np.float32(0.25), np.int64(0), True])
+    def test_returns_real_values_as_floats(self, value):
+        got = check_real(value, "bad-thing", "thing", 0.0, 1.0)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [(0.5,), "0.5", np.array([0.5, 0.6]), np.array(0.5), [0.2], None, float("nan"), float("inf"), float("-inf"),
+         -0.1, 1.5, 10**400],
+        ids=["tuple", "string", "array", "0d-array", "list", "none", "nan", "inf", "minus-inf", "below", "above",
+             "beyond-float"],
+    )
+    def test_rejects_everything_else_with_the_given_code(self, value):
+        with pytest.raises(PipelineError, match="bad-thing"):
+            check_real(value, "bad-thing", "thing", 0.0, 1.0)
+
+    def test_open_low_end(self):
+        assert check_real(1e-300, "bad-thing", "thing", 0.0, np.inf, low_open=True) == 1e-300
+        for value in (0.0, np.inf):
+            with pytest.raises(PipelineError, match="bad-thing"):
+                check_real(value, "bad-thing", "thing", 0.0, np.inf, low_open=True)
 
 
 class TestCheckSeed:

@@ -318,8 +318,14 @@ class TestMakeDataset:
     @pytest.mark.parametrize(
         "kwargs,code",
         [(dict(count=2.5), "bad-count"), (dict(count=float("nan")), "bad-count"), (dict(count=(2,)), "bad-count"),
-         (dict(size=32.5), "bad-size"), (dict(size=float("inf")), "bad-size"), (dict(size="32"), "bad-size")],
-        ids=["fractional-count", "nan-count", "tuple-count", "fractional-size", "inf-size", "string-size"],
+         (dict(size=32.5), "bad-size"), (dict(size=float("inf")), "bad-size"), (dict(size="32"), "bad-size"),
+         (dict(train_fraction="0.5"), "bad-split"), (dict(train_fraction=(0.5,)), "bad-split"),
+         (dict(inpaint_fraction=[0.2]), "bad-split"), (dict(inpaint_fraction=np.array([0.2, 0.3])), "bad-split"),
+         (dict(train_fraction=float("nan")), "bad-split"), (dict(inpaint_fraction=float("inf")), "bad-split"),
+         (dict(train_fraction=float("-inf")), "bad-split")],
+        ids=["fractional-count", "nan-count", "tuple-count", "fractional-size", "inf-size", "string-size",
+             "string-train-fraction", "tuple-train-fraction", "list-inpaint-fraction", "array-inpaint-fraction",
+             "nan-train-fraction", "inf-inpaint-fraction", "minus-inf-train-fraction"],
     )
     def test_rejects_non_integer_count_and_size_before_creating_the_directory(self, tmp_path, kwargs, code):
         with pytest.raises(PipelineError, match=code):

@@ -54,7 +54,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(steps=0), dict(steps=5, batch_size=0), dict(steps=5, lr=0.0), dict(steps=5, lr=-1.0), dict(steps=5, lr=float("inf")),
-         dict(steps=2.5), dict(steps=float("nan")), dict(steps=float("inf")), dict(steps=(2,)), dict(steps=2, batch_size=1.5)],
+         dict(steps=2.5), dict(steps=float("nan")), dict(steps=float("inf")), dict(steps=(2,)), dict(steps=2, batch_size=1.5),
+         dict(steps=1, lr=(1e-3,)), dict(steps=1, lr="0.001"), dict(steps=1, lr=np.array([1e-3, 2e-3])),
+         dict(steps=1, lr=float("nan")), dict(steps=1, lr=float("-inf"))],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(PipelineError, match="bad-config"):
@@ -65,6 +67,10 @@ class TestTrainConfig:
         assert (type(cfg.steps), type(cfg.batch_size)) == (int, int)
         _, history = train(cfg, ArchConfig(), balanced_items(2, 16))
         assert len(history) == 2
+
+    def test_real_learning_rate_becomes_a_float(self):
+        assert type(TrainConfig(steps=1, lr=np.float32(0.5)).lr) is float
+        assert TrainConfig(steps=1, lr=1).lr == 1.0
 
     def test_normalises_views_and_augment(self):
         cfg = TrainConfig(steps=1, views=["pixel", "texture"], augment=[PerturbSpec("flip")])
