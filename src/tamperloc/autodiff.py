@@ -4,10 +4,13 @@ A ``Tensor`` wraps a float64 array. Every primitive op records its parents and
 a closure that routes the output gradient back to them; ``backward`` replays
 the tape in reverse topological order. Gradients are only materialised for
 tensors that require them (directly or through a parent), so feeding constant
-inputs is cheap. A closure hands ``_accumulate`` the gradient arrays it
-creates, which become a tensor's first gradient without a copy; views of
-the output gradient are copied. Inside ``with no_grad():`` ops run by that
-thread record nothing at all, so an inference pass keeps no tape and each
+inputs is cheap. ``backward`` drops each op's output gradient once its
+closure has run, so only leaves keep gradients, and a closure may write
+into the gradient it is handed or pass it on to one parent (``_takes``).
+A closure hands ``_accumulate`` the gradient arrays it creates, which
+become a tensor's first gradient without a copy; other views of the output
+gradient are copied. Inside ``with no_grad():`` ops run by that thread
+record nothing at all, so an inference pass keeps no tape and each
 intermediate array is freed as soon as no later op needs it.
 
 ``thread_policy`` is the program's one thread policy: it pins numpy's
@@ -322,9 +325,10 @@ def _make(data, parents, backward_fn) -> Tensor:
 
 def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False):
     """Add ``grad`` into ``t.grad``. A first gradient is copied, into the
-    layout zeros_like would give, unless ``fresh``: an array the closure has
-    just created and hands to this one tensor. Views such as g.reshape(old),
-    and the one ``g`` that ``add`` hands both parents, are never fresh."""
+    layout zeros_like would give, unless ``fresh``: an array the closure
+    alone holds and hands to this one tensor, one it has just created or
+    the output gradient it was handed (see ``_takes``). Views such as
+    g.reshape(old), and ``g`` itself for a second parent, are never fresh."""
     if not t.requires_grad:
         return
     if t.grad is None and fresh:
@@ -334,6 +338,16 @@ def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False):
         t.grad[...] = grad
     else:
         t.grad += grad
+
+
+def _takes(t: Tensor, g: np.ndarray) -> np.ndarray | None:
+    """``g``, the output gradient a closure alone holds, where it may become
+    ``t``'s first gradient as it is, else None: t needs a gradient and has
+    none yet, and g has its shape and the layout ``empty_like(t.data)``
+    gives, both C-contiguous. Closures pass the result as the ``out`` of
+    t's gradient product, whose bytes are those of a fresh product."""
+    fits = t.requires_grad and t.grad is None and g.shape == t.data.shape
+    return g if fits and g.flags.c_contiguous and t.data.flags.c_contiguous else None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -350,7 +364,10 @@ def backward(root: Tensor):
     """Accumulate d(root)/d(leaf) into ``grad`` of every grad-requiring leaf.
 
     ``root`` must be the output of recorded ops; calling this on a bare leaf
-    means no forward pass was taped.
+    means no forward pass was taped. Each op's output gradient is dropped
+    (``grad`` set to None) as soon as its closure has run, so afterwards
+    only leaves hold gradients, and the closure may write into it or hand
+    it on. The tape itself is left as it is.
     """
     if root._backward_fn is None:
         raise PipelineError("no-tape", "tensor was not produced by recorded operations")
@@ -375,6 +392,7 @@ def backward(root: Tensor):
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
 
 
 def _coerce(x) -> Tensor:
@@ -385,8 +403,10 @@ def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
 
     def back(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        # g goes on as it is to the first parent it fits; the other gets a copy or a sum
+        taker = next((t for t in (a, b) if a is not b and _takes(t, g) is not None), None)
+        _accumulate(a, _unbroadcast(g, a.data.shape), fresh=a is taker)
+        _accumulate(b, _unbroadcast(g, b.data.shape), fresh=b is taker)
 
     return _make(a.data + b.data, (a, b), back)
 
@@ -394,9 +414,9 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
 
-    def back(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
+    def back(g):  # b's product first, so that a's may be written into g
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
+        _accumulate(a, _unbroadcast(np.multiply(g, b.data, out=_takes(a, g)), a.data.shape), fresh=True)
 
     return _make(a.data * b.data, (a, b), back)
 
@@ -414,21 +434,19 @@ def matmul(a, b) -> Tensor:
 def relu(x: Tensor, overwrite: bool = False) -> Tensor:
     """max(x, 0), with +0.0 for every x that is not above zero (NaN too).
 
-    With ``overwrite``, a pass that records no tape for ``x`` writes the
-    result over ``x.data``, which the caller must alone hold, and keeps no
-    mask: ``fmax`` maps NaN and negatives to 0.0, and adding 0.0 turns -0.0
-    into +0.0, so the bytes are those of the copy.
+    ``fmax`` maps NaN and negatives to 0.0, and adding 0.0 turns -0.0 into
+    +0.0. With ``overwrite``, a pass that records no tape for ``x`` writes
+    the result over ``x.data``, which the caller must alone hold. The tape
+    keeps no mask: x > 0 exactly where the output is.
     """
-    if overwrite and not (_state.grad_enabled and x.requires_grad):
-        d = np.fmax(x.data, 0.0, out=x.data)
-        d += 0.0
-        return Tensor(d)
-    mask = x.data > 0.0
+    taped = _state.grad_enabled and x.requires_grad
+    y = np.fmax(x.data, 0.0, out=x.data if overwrite and not taped else None)
+    y += 0.0
 
     def back(g):
-        _accumulate(x, g * mask, fresh=True)
+        _accumulate(x, np.multiply(g, y > 0.0, out=_takes(x, g)), fresh=True)
 
-    return _make(np.where(mask, x.data, 0.0), (x,), back)
+    return _make(y, (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -437,14 +455,16 @@ def sigmoid(x: Tensor) -> Tensor:
     y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def back(g):
-        _accumulate(x, g * y * (1.0 - y), fresh=True)
+        gx = np.multiply(g, y, out=_takes(x, g))
+        gx *= 1.0 - y
+        _accumulate(x, gx, fresh=True)
 
     return _make(y, (x,), back)
 
 
 def log(x: Tensor) -> Tensor:
     def back(g):
-        _accumulate(x, g / x.data, fresh=True)
+        _accumulate(x, np.divide(g, x.data, out=_takes(x, g)), fresh=True)
 
     return _make(np.log(x.data), (x,), back)
 
@@ -453,7 +473,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     inside = (x.data > lo) & (x.data < hi)
 
     def back(g):
-        _accumulate(x, g * inside, fresh=True)
+        _accumulate(x, np.multiply(g, inside, out=_takes(x, g)), fresh=True)
 
     return _make(np.clip(x.data, lo, hi), (x,), back)
 
@@ -742,10 +762,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
             gw = gw.reshape(cout, -1)
             planes = band_planes(lo, nb + down)
             dplanes = None if dsrc is None else np.zeros(planes.shape)
+            prod = None if dsrc is None else np.empty((cin, nb * wq))  # one tap's input gradient
             for u, v, ix in taps(nb):
                 dw[:, :, u, v] += gw @ planes[ix].T
                 if dplanes is not None:
-                    dplanes[ix] += wt[u, v].T @ gw
+                    dplanes[ix] += np.matmul(wt[u, v].T, gw, out=prod)
             if dplanes is not None:
                 dphases = grid(dplanes, nb + down)
                 for at, ix in pieces(lo, nb + down):
@@ -765,7 +786,12 @@ def avg_pool2(x: Tensor) -> Tensor:
     c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise PipelineError("shape-mismatch", f"avg_pool2 needs even dims, got {h}x{w}")
-    y = x.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+    d = x.data
+    # mean(axis=(2, 4))'s bytes on a C-contiguous x of two or more pooled
+    # rows, as the network pools; with one pooled row it adds in row order
+    y = d[:, 0::2, 0::2] + d[:, 0::2, 1::2]
+    y += d[:, 1::2, 0::2] + d[:, 1::2, 1::2]
+    y /= 4.0
 
     def back(g):
         _accumulate(x, np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * 0.25, fresh=True)

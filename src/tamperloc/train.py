@@ -58,7 +58,10 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam with bias correction; state keyed by parameter name."""
+    """Standard Adam with bias correction; state keyed by parameter name.
+
+    A step updates the moments and parameter arrays in place, with the
+    textbook formula's ufuncs in its order; views of the store see it."""
 
     def __init__(self, params: ParamStore, lr: float):
         self.params = params
@@ -73,10 +76,19 @@ class Adam:
         c2 = 1.0 - ADAM_BETA2**self.t
         for name, tensor in self.params.tensors.items():
             g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
-            step = self.lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + ADAM_EPS)
-            tensor.data = tensor.data - step
+            m, v = self.m[name], self.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            gg = (1.0 - ADAM_BETA2) * g
+            gg *= g
+            v += gg
+            step = m / c1
+            step *= self.lr
+            den = np.sqrt(np.divide(v, c2, out=gg), out=gg)
+            den += ADAM_EPS
+            step /= den
+            tensor.data -= step
 
 
 def _sample_stack(

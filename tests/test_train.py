@@ -100,18 +100,21 @@ class TestAdam:
         from tamperloc.autodiff import Tensor
         from tamperloc.fusion import ParamStore
 
-        x = np.array([0.7])
-        grads = [np.array([0.2]), np.array([-0.4])]
+        # in place, with the reference loop's ufuncs in its order: its bytes
+        x = np.array([0.7, -1.3, 2e-3])
+        grads = [np.array([0.2, 1e-9, -3.0]), np.array([-0.4, 0.0, 5.5])]
         store = ParamStore(ArchConfig(), 0, {"x": Tensor(x.copy(), requires_grad=True)})
+        data = store.tensors["x"].data
         opt = Adam(store, lr=0.05)
-        ref, m, v = x.copy(), np.zeros(1), np.zeros(1)
+        ref, m, v = x.copy(), np.zeros(3), np.zeros(3)
         for t, g in enumerate(grads, start=1):
             store.tensors["x"].grad = g.copy()
             opt.step()
             m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
             v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
             ref = ref - 0.05 * (m / (1 - ADAM_BETA1**t)) / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS)
-        np.testing.assert_allclose(store.tensors["x"].data, ref, rtol=1e-15)
+        assert store.tensors["x"].data is data
+        assert data.tobytes() == ref.tobytes()
 
     def test_missing_gradient_treated_as_zero(self):
         from tamperloc.autodiff import Tensor
