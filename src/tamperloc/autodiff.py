@@ -72,13 +72,17 @@ ATTENTION_BLOCK = 2**17
 # and none underflows to 0; exp itself overflows only past 709.
 EXP_SAFE = 64.0
 
-# Output pixels per conv2d band in the backward pass; forward bands, one
-# share job each, take half as many. With im2col columns, over the three
-# stage-1 convolutions at 192 px, one BLAS thread, bands of 1024-2048 pixels
-# timed within 2% of each other, 4096 13% slower and 16384 35% slower
-# (fwd+bwd 243, 273 and 357 ms); at 64 px 1024-8192 timed within noise. A
-# 52-channel 3x3 forward band of 1024 pixels at 128 px (8 rows of 130
-# padded columns) holds a 0.5 MiB slab and two 32-channel sums of 0.25 MiB.
+# Twice the output pixels of a conv2d forward band, one share job each. A
+# backward band at stride s takes s * s times fewer output pixels, so that it
+# reads no more input than a stride-1 forward band. With im2col columns, over
+# the three stage-1 convolutions at 192 px, one BLAS thread, bands of
+# 1024-2048 pixels timed within 2% of each other, 4096 13% slower and 16384
+# 35% slower (fwd+bwd 243, 273 and 357 ms); at 64 px 1024-8192 timed within
+# noise. A 52-channel 3x3 forward band of 1024 pixels at 128 px (8 rows of
+# 130 padded columns) holds a 0.5 MiB slab and two 32-channel sums of
+# 0.25 MiB. The backward pass of stage1.conv2 (stride 2) at 64 px took
+# 5.2 ms in one band of all 32 output rows and 2.9 ms in four of 8 rows
+# (medians of 30 calls, one BLAS thread).
 CONV_BLOCK = 2048
 
 
@@ -412,35 +416,47 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """a * b; a parent that needs no gradient gets no product."""
     a, b = _coerce(a), _coerce(b)
 
     def back(g):  # b's product first, so that a's may be written into g
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
-        _accumulate(a, _unbroadcast(np.multiply(g, b.data, out=_takes(a, g)), a.data.shape), fresh=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.multiply(g, b.data, out=_takes(a, g)), a.data.shape), fresh=True)
 
     return _make(a.data * b.data, (a, b), back)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b, plus ``bias`` added in place into the product when given: the
+    bytes of ``add(matmul(a, b), bias)`` with one array on the tape, not two."""
     a, b = _coerce(a), _coerce(b)
+    c = None if bias is None else _coerce(bias)
+    out = a.data @ b.data
+    if c is not None:
+        out += c.data
 
     def back(g):
         _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), fresh=True)
         _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), fresh=True)
+        if c is not None:
+            gc = _unbroadcast(g, c.data.shape)
+            _accumulate(c, gc, fresh=gc is not g)
 
-    return _make(a.data @ b.data, (a, b), back)
+    return _make(out, (a, b) if c is None else (a, b, c), back)
 
 
 def relu(x: Tensor, overwrite: bool = False) -> Tensor:
     """max(x, 0), with +0.0 for every x that is not above zero (NaN too).
 
     ``fmax`` maps NaN and negatives to 0.0, and adding 0.0 turns -0.0 into
-    +0.0. With ``overwrite``, a pass that records no tape for ``x`` writes
-    the result over ``x.data``, which the caller must alone hold. The tape
-    keeps no mask: x > 0 exactly where the output is.
+    +0.0. With ``overwrite`` the result is written over ``x.data``, taped or
+    not: the caller must alone hold ``x.data``, and no closure on the tape
+    may read it, as ``conv2d``'s and ``matmul``'s never read their output.
+    The tape keeps no mask: x > 0 exactly where the output is.
     """
-    taped = _state.grad_enabled and x.requires_grad
-    y = np.fmax(x.data, 0.0, out=x.data if overwrite and not taped else None)
+    y = np.fmax(x.data, 0.0, out=x.data if overwrite else None)
     y += 0.0
 
     def back(g):
@@ -594,20 +610,35 @@ def attention(q, k, v, scale: float) -> Tensor:
     return _make(out, (q, k, v), back)
 
 
-def layer_norm(x: Tensor) -> Tensor:
-    """Normalise to zero mean / unit variance along the last axis (no affine part)."""
+def layer_norm(x: Tensor, scale, offset) -> Tensor:
+    """``y * scale + offset``, where y is x normalised to zero mean and unit
+    variance along the last axis.
+
+    One op for what was ``add(mul(layer_norm(x), scale), offset)``: the same
+    ufuncs in the same order, forward and backward, so the same bytes, with
+    the tape keeping y and the output but not the product between them.
+    """
+    scale, offset = _coerce(scale), _coerce(offset)
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
+    y = x.data - mu
+    var = (y**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    y = xc * inv
+    y *= inv
+    out = y * scale.data
+    out += offset.data
 
     def back(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * (g - gm - y * gy), fresh=True)
+        go = _unbroadcast(g, offset.data.shape)
+        _accumulate(offset, go, fresh=go is not g)
+        if scale.requires_grad:
+            _accumulate(scale, _unbroadcast(g * y, scale.data.shape), fresh=True)
+        if x.requires_grad:
+            g = g * scale.data
+            gm = g.mean(axis=-1, keepdims=True)
+            gy = (g * y).mean(axis=-1, keepdims=True)
+            _accumulate(x, inv * (g - gm - y * gy), fresh=True)
 
-    return _make(y, (x,), back)
+    return _make(out, (x, scale, offset), back)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -668,11 +699,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
     whole; zero padding never copies it).
 
     Output rows are processed in bands of ``max(1, CONV_BLOCK // 2 // wo)``
-    rows forward and ``max(1, CONV_BLOCK // wo)`` rows backward. With stride
-    s, a band's padded input rows become s x s phase planes of width ``wq =
-    ceil(padded width / s)``, flattened with ``(kw - 1) // s`` trailing
-    zeros: at stride 1 the band's zero-margined slab, for a 1x1 unpadded
-    convolution a view of its input rows. Tap (u, v) reads plane (u mod s,
+    rows forward and ``max(1, CONV_BLOCK // 2 // (s * s * wo))`` rows
+    backward, so a backward band reads about as much input as a stride-1
+    forward band, whatever the stride. With stride s, a band's padded input
+    rows become s x s phase planes of width ``wq = ceil(padded width / s)``,
+    flattened with ``(kw - 1) // s`` trailing zeros: at stride 1 the band's
+    zero-margined slab, for a 1x1 unpadded convolution a view of its input
+    rows. The closure reads the input and the weights, never the output,
+    which a ReLU may therefore overwrite. Tap (u, v) reads plane (u mod s,
     v mod s) as the contiguous slice of ``band * wq`` floats from ``(u // s)
     * wq + v // s``: one (Cout, Cin) gemm per tap, summed in tap order, of
     which each ``wq``-wide row keeps its first ``wo`` (Anderson et al., arXiv
@@ -754,7 +788,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, pad_m
         _accumulate(b, g.reshape(cout, -1).sum(axis=1), fresh=True)
         dw = np.zeros(wd.shape)
         dsrc = np.zeros(src.shape) if x.requires_grad else None
-        band = max(1, CONV_BLOCK // wo)
+        band = max(1, CONV_BLOCK // 2 // (s * s * wo))
         for lo in range(0, ho, band):
             nb = min(band, ho - lo)
             gw = np.zeros((cout, nb, wq))

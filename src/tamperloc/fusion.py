@@ -241,28 +241,24 @@ def _attention_block(
     heads = cfg.heads
     dh = d // heads
 
-    h = ad.layer_norm(tokens)
-    h = ad.add(ad.mul(h, p[prefix + "ln1.scale"]), p[prefix + "ln1.offset"])
+    def linear(t, w, b):
+        return ad.matmul(t, p[prefix + w], p[prefix + b])
 
     def split(t):
         return ad.transpose(ad.reshape(t, (n, heads, dh)), (1, 0, 2))  # (heads, n, dh)
 
-    q = split(ad.add(ad.matmul(h, p[prefix + "attn.wq"]), p[prefix + "attn.bq"]))
-    k = split(ad.add(ad.matmul(h, p[prefix + "attn.wk"]), p[prefix + "attn.bk"]))
-    v = split(ad.add(ad.matmul(h, p[prefix + "attn.wv"]), p[prefix + "attn.bv"]))
-
+    h = ad.layer_norm(tokens, p[prefix + "ln1.scale"], p[prefix + "ln1.offset"])
+    q, k, v = (split(linear(h, f"attn.w{x}", f"attn.b{x}")) for x in "qkv")
     ctx = ad.attention(q, k, v, 1.0 / math.sqrt(dh))  # (heads, n, dh)
     ctx = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (n, d))
-    tokens = ad.add(tokens, ad.add(ad.matmul(ctx, p[prefix + "attn.wo"]), p[prefix + "attn.bo"]))
+    tokens = ad.add(tokens, linear(ctx, "attn.wo", "attn.bo"))
 
-    h2 = ad.layer_norm(tokens)
-    h2 = ad.add(ad.mul(h2, p[prefix + "ln2.scale"]), p[prefix + "ln2.offset"])
-    pre = ad.add(ad.matmul(h2, p[prefix + "mlp.w1"]), p[prefix + "mlp.b1"])
+    h2 = ad.layer_norm(tokens, p[prefix + "ln2.scale"], p[prefix + "ln2.offset"])
+    pre = linear(h2, "mlp.w1", "mlp.b1")
     if relu_trace is not None:
         relu_trace.append(pre)
-    h2 = ad.relu(pre)
-    h2 = ad.add(ad.matmul(h2, p[prefix + "mlp.w2"]), p[prefix + "mlp.b2"])
-    return ad.add(tokens, h2)
+    h2 = ad.relu(pre, overwrite=relu_trace is None)  # pre is this matmul's own output
+    return ad.add(tokens, linear(h2, "mlp.w2", "mlp.b2"))
 
 
 def _run_encoder(grid: Tensor, p: ParamStore, cfg: ArchConfig, relu_trace: list | None = None) -> Tensor:
@@ -273,32 +269,43 @@ def _run_encoder(grid: Tensor, p: ParamStore, cfg: ArchConfig, relu_trace: list 
     return ad.transpose(ad.reshape(tokens, (h, w, c)), (2, 0, 1))
 
 
-def _forward_graph(
-    p: ParamStore, x: np.ndarray, pad_mode: str, relu_trace: list | None = None, owned: bool = False
-) -> tuple[Tensor, Tensor]:
-    """Full tape: (pre-upsample logit grid, (H, W) probabilities) of a stack.
+def centre(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The network's input, ``stack - 0.5``, written into ``out`` when given
+    (the stack itself, to centre a stack the caller alone holds in place).
 
-    Sides that are not multiples of 4 are reflect-padded on the bottom and
-    right, and the probabilities cropped back. The stack is centred in place
-    if the caller ``owned`` it or it was padded, else into a new array.
-    Pre-activations feeding a ReLU are appended to ``relu_trace`` when it is a
-    list, so the finite-difference check can reject points where a kink sits
-    inside the probe interval; without a trace, a pass that records no tape
-    lets each conv layer's ReLU write over that layer's output.
+    Centring the unit-interval features is equivalent to a conv1 bias shift
+    but keeps the ReLU units alive under the zero-bias fan-in init.
+    """
+    return np.subtract(stack, 0.5, out=out)
+
+
+def _forward_graph(p: ParamStore, x, pad_mode: str, relu_trace: list | None = None) -> tuple[Tensor, Tensor]:
+    """Full tape: (pre-upsample logit grid, (H, W) probabilities) of a
+    :func:`centre`-d stack ``x``.
+
+    ``x`` may come in a one-item list, which is emptied: the stack is then
+    freed once conv1 has read it, where an argument would stay alive until
+    the call returns. Sides that are not multiples of 4 are reflect-padded
+    on the bottom and right, and the probabilities cropped back.
+    Pre-activations feeding a ReLU are appended to ``relu_trace`` when it is
+    a list, so the finite-difference check can reject points where a kink
+    sits inside the probe interval; without a trace, each ReLU writes over
+    the output of the conv or matmul before it.
     """
     cfg = p.arch
+    if isinstance(x, list):
+        x = x.pop()
     if x.ndim != 3 or x.shape[0] != cfg.input_channels:
         raise PipelineError("shape-mismatch", f"stack of shape {x.shape}, expected ({cfg.input_channels}, H, W)")
     h, w = x.shape[1:]
-    if h % 4 or w % 4:  # a private copy; reflect padding commutes with the centring below
-        x, owned = np.pad(x, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="reflect"), True
+    if h % 4 or w % 4:  # reflect padding commutes with the centring
+        x = np.pad(x, ((0, 0), (0, -h % 4), (0, -w % 4)), mode="reflect")
 
     def conv(name, t, stride=1, pad=0):
         return ad.conv2d(t, p[name + ".w"], p[name + ".b"], stride=stride, pad=pad, pad_mode=pad_mode)
 
-    # center the unit-interval features; equivalent to a conv1 bias shift but
-    # keeps the ReLU units alive under the zero-bias fan-in init
-    t, branch = Tensor(np.subtract(x, 0.5, out=x if owned else None)), None
+    t, branch = Tensor(x), None
+    del x
     for layer in variant_layers(cfg):
         if layer.kind == "encoder":
             t = _run_encoder(t, p, cfg, relu_trace)
@@ -331,21 +338,23 @@ def forward_graph(params: ParamStore, x, pad_mode: str = "zero") -> tuple[Tensor
 
     The logit grid is the stride-4 token map before upsampling, which is the
     right granularity for translation-consistency checks; probabilities are
-    the (H, W) sigmoid output used by the loss. Any H and W are taken.
+    the (H, W) sigmoid output used by the loss. Any H and W are taken. The
+    stack is centred into a new array, which the tape keeps.
     """
-    return _forward_graph(params, _stack_data(x), pad_mode)
+    return _forward_graph(params, [centre(_stack_data(x))], pad_mode)
 
 
 def forward(params: ParamStore, x) -> np.ndarray:
     """Predicted tamper probabilities, shape (H, W), each strictly in (0, 1).
 
-    Runs without a tape: nothing is kept for a backward pass. Runs under the
-    thread policy, so the bytes do not depend on the BLAS threads the
+    Runs without a tape: nothing is kept for a backward pass, and the
+    centred copy of the stack is freed once conv1 has read it. Runs under
+    the thread policy, so the bytes do not depend on the BLAS threads the
     caller's environment asks for, and the convolutions' forward bands and
     the attention heads share the cores.
     """
     with ad.thread_policy(), ad.no_grad():
-        _, probs = _forward_graph(params, _stack_data(x), "zero")
+        _, probs = _forward_graph(params, [centre(_stack_data(x))], "zero")
     return probs.data
 
 
@@ -400,14 +409,18 @@ def build_feature_stack(f: Frame, views: "Iterable[str] | None" = None) -> Featu
 def predict(params: ParamStore, f: Frame, views: "Iterable[str] | None" = None) -> np.ndarray:
     """Extract the selected views from a frame and run :func:`forward` on them.
 
-    The extraction runs under the thread policy too: a BLAS call at the
-    default thread count wakes OpenBLAS's own threads, which then spin on
-    the cores the convolution and attention workers need.
+    The stack is centred in place and handed to the network, which frees it
+    once conv1 has read it. The extraction runs under the thread policy
+    too: a BLAS call at the default thread count wakes OpenBLAS's own
+    threads, which then spin on the cores the convolution and attention
+    workers need.
     """
     if params.arch.input_channels != INPUT_CHANNELS:
         raise PipelineError("bad-arch", "predict needs the full multi-view input layout")
     with ad.thread_policy(), ad.no_grad():
-        _, probs = _forward_graph(params, build_feature_stack(f, views).data, "zero", owned=True)
+        stack = [build_feature_stack(f, views).data]
+        centre(stack[0], out=stack[0])
+        _, probs = _forward_graph(params, stack, "zero")
     return probs.data
 
 
@@ -452,7 +465,7 @@ def finite_difference_check(seed: int = 0, arch: "ArchConfig | None" = None) -> 
             target = (rng.uniform(size=(8, 8)) > 0.5).astype(np.float64)
             params = init_network(cfg, seed + 1000 * attempt)
             trace: list[Tensor] = []
-            _, probs = _forward_graph(params, x, "zero", trace)
+            _, probs = _forward_graph(params, centre(x), "zero", trace)
             if min(float(np.abs(t.data).min()) for t in trace) >= guard:
                 break
         else:

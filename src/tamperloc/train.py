@@ -23,10 +23,11 @@ from .fusion import (
     FEATURE_VIEWS,
     ArchConfig,
     ParamStore,
+    _forward_graph,
     bce_loss_graph,
     build_feature_stack,
+    centre,
     check_views,
-    forward_graph,
     init_network,
 )
 from .perturb import PerturbSpec, perturb_pair
@@ -99,11 +100,12 @@ def _sample_stack(
     item_idx: int,
     fill=nullcontext(),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature stack and target for one drawn sample, augmented or clean.
+    """Centred feature stack (the network's input) and target for one drawn
+    sample, augmented or clean.
 
-    Clean stacks are extracted once and cached, under the item's ``fill``
-    lock, so one thread fills each entry; augmented samples re-extract
-    because every view is sensitive to the perturbed pixels.
+    Clean stacks are extracted and centred once and cached, under the item's
+    ``fill`` lock, so one thread fills each entry; augmented samples
+    re-extract because every view is sensitive to the perturbed pixels.
     """
     frame, mask = items[item_idx]
     if cfg.augment:
@@ -112,11 +114,16 @@ def _sample_stack(
         spec = cfg.augment[int(rng.integers(len(cfg.augment)))]
         if spec.kind != "none":
             frame, mask = perturb_pair(frame, mask, spec, seed=key + [1])
-            return build_feature_stack(frame, cfg.views).data, mask
+            return _centred_stack(frame, cfg.views), mask
     with fill:
         if item_idx not in cache:
-            cache[item_idx] = build_feature_stack(frame, cfg.views).data
+            cache[item_idx] = _centred_stack(frame, cfg.views)
     return cache[item_idx], mask
+
+
+def _centred_stack(frame: Frame, views) -> np.ndarray:
+    stack = build_feature_stack(frame, views).data
+    return centre(stack, out=stack)
 
 
 def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list[float]]:
@@ -143,7 +150,7 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
     def sample(step: int, item_idx: int):
         stack, target = _sample_stack(cfg, items, cache, step, item_idx, fills[item_idx])
         view = params.view()
-        _, probs = forward_graph(view, stack)
+        _, probs = _forward_graph(view, stack, "zero")
         loss = bce_loss_graph(probs, target)
         ad.backward(ad.mul(loss, scale))
         return loss.data, [t.grad for t in view.tensors.values()]

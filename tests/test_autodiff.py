@@ -14,7 +14,16 @@ from numpy.random import default_rng
 from tamperloc import autodiff as ad
 from tamperloc.autodiff import LAYER_NORM_EPS, Tensor
 from tamperloc.errors import PipelineError
-from tamperloc.fusion import INPUT_CHANNELS, ArchConfig, bce_loss_graph, forward_graph, init_network
+from tamperloc.fusion import (
+    INPUT_CHANNELS,
+    ArchConfig,
+    _forward_graph,
+    bce_loss_graph,
+    centre,
+    forward_graph,
+    init_network,
+    variant_layers,
+)
 
 from oracles import correlate2d_strided
 
@@ -94,6 +103,71 @@ def backward_checking_aliases(root: Tensor) -> int:
     return checks
 
 
+def taped_floats(arch: ArchConfig, side: int) -> int:
+    """Floats that one sample taped as ``train`` tapes it keeps beyond its
+    stack, target and parameters, read off the layer table at side x side.
+
+    A layer keeps its output, over which a conv layer's ReLU writes, and a
+    layer with a kernel wider than 1 the transposed copy of its weights;
+    ``fuse`` keeps both outputs, ``join`` the pooled branch and the
+    concatenation too. Each encoder block keeps 13 token-sized arrays: each
+    layer norm's normalised rows and output, q, k and v, the attention
+    output and its copy as tokens, the two residual sums and the two
+    d-wide projections; one MLP-wide array, over which its ReLU writes; and
+    2 + heads statistics per token. The probabilities and loss keep 11
+    frame-sized arrays and the clip's byte mask."""
+    h = w = side
+    floats, branch = 0, None
+    for layer in variant_layers(arch):
+        if layer.kind == "encoder":
+            n, d, m = h * w, arch.token_dim, arch.token_dim * arch.mlp_ratio
+            floats += arch.encoder_layers * (13 * n * d + n * m + (2 + arch.heads) * n)
+            continue
+        if layer.k > 1:
+            floats += layer.cout * layer.cin * layer.k**2
+        if layer.kind == "fuse":
+            floats += layer.cin * h * w
+            branch = layer.cout, h
+        elif layer.kind == "join":
+            floats += layer.cin * h * w + (branch[0] * h * w if branch[1] != h else 0)
+        h, w = h // layer.stride, w // layer.stride
+        floats += layer.cout * h * w
+    return floats + 11 * side * side + side * side // 8
+
+
+def backward_band_floats(layer, side: int, input_grad: bool) -> int:
+    """Floats one backward band of a padded square ``conv`` layer holds on a
+    side x side input: its phase planes, their gradient when the input
+    needs one, the widened output gradient and one tap's input gradient."""
+    s, k = layer.stride, layer.k
+    wp = side + 2 * (k // 2)
+    wo, wq, down = (wp - k) // s + 1, -(-wp // s), (k - 1) // s
+    rows = min(wo, max(1, ad.CONV_BLOCK // 2 // (s * s * wo)))
+    planes = s * s * layer.cin * ((rows + down) * wq + down)
+    return planes * (1 + input_grad) + (layer.cout + layer.cin * input_grad) * rows * wq
+
+
+def taped_sample(side: int):
+    """(tape bytes, backward peak bytes, parameters) of one cnn_vit sample
+    taped as ``train`` tapes it: the centred stack and the target exist
+    before the tape, as a cached stack and an item's mask do."""
+    params = init_network(ArchConfig(), 0).view()
+    stack = default_rng(6).random((INPUT_CHANNELS, side, side))
+    target = (stack[0] > 0.5).astype(np.float64)
+    centre(stack, out=stack)
+    tracemalloc.start()
+    try:
+        _, probs = _forward_graph(params, stack, "zero")
+        root = ad.mul(bce_loss_graph(probs, target), 0.25)
+        tape = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return tape, peak, params
+
+
 def weighted_mean(out: Tensor, seed: int = 99) -> Tensor:
     """Scalarise with a fixed random weighting so output grads are non-uniform."""
     w = default_rng(seed).normal(size=out.data.shape)
@@ -166,7 +240,7 @@ def whole_frame_pad_conv2d(x, w, b, g, stride, pad, pad_mode, block):
             acc = prod if acc is None else acc + prod
         out[:, lo : lo + nb] = acc.reshape(cout, nb, wq)[:, :, :wo] + b[:, None, None]
     dw, dphases = np.zeros_like(w), np.zeros_like(phases)
-    for lo, nb, planes, taps in bands(max(1, block // wo)):
+    for lo, nb, planes, taps in bands(max(1, block // 2 // (s * s * wo))):  # backward bands read as much input
         gw = np.zeros((cout, nb, wq))
         gw[:, :, :wo] = g[:, lo : lo + nb]
         gw = gw.reshape(cout, -1)
@@ -346,7 +420,7 @@ class TestForwardValues:
 
     def test_layer_norm_standardises_rows(self):
         x = default_rng(3).normal(size=(4, 7)) * 3.0 + 2.0
-        y = ad.layer_norm(Tensor(x)).data
+        y = ad.layer_norm(Tensor(x), np.ones(7), np.zeros(7)).data
         np.testing.assert_allclose(y.mean(axis=-1), np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(y.var(axis=-1), np.ones(4), rtol=1e-9)
         np.testing.assert_allclose(
@@ -355,6 +429,34 @@ class TestForwardValues:
 
     def test_layer_norm_eps_is_pinned(self):
         assert LAYER_NORM_EPS == 1e-12
+
+    def test_affine_layer_norm_gives_the_bytes_of_the_unfused_chain(self):
+        # normalise, multiply by the scale, add the offset, and backward the
+        # same chain in reverse: the closures of layer_norm, mul and add
+        rng = default_rng(31)
+        x, scale, offset, g = rng.normal(size=(5, 8)), rng.normal(size=8), rng.normal(size=8), rng.normal(size=(5, 8))
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc**2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        y = xc * inv
+        gs = g * scale
+        gx = inv * (gs - gs.mean(axis=-1, keepdims=True) - y * (gs * y).mean(axis=-1, keepdims=True))
+        want = [y * scale + offset, gx, (g * y).sum(axis=0), g.sum(axis=0)]
+        leaves = [Tensor(a, requires_grad=True) for a in (x, scale, offset)]
+        out = ad.layer_norm(*leaves)
+        out._backward_fn(g.copy())
+        got = [out.data] + [t.grad for t in leaves]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_matmul_with_a_bias_gives_the_bytes_of_matmul_then_add(self):
+        rng = default_rng(32)
+        a, b, c, g = rng.normal(size=(6, 5)), rng.normal(size=(5, 7)), rng.normal(size=7), rng.normal(size=(6, 7))
+        runs = []
+        for fused in (True, False):
+            leaves = [Tensor(v, requires_grad=True) for v in (a, b, c)]
+            out = ad.matmul(*leaves) if fused else ad.add(ad.matmul(*leaves[:2]), leaves[2])
+            ad.backward(ad.mean_all(ad.mul(out, g)))
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+        assert runs[0] == runs[1]
 
     def test_shape_ops_match_numpy(self):
         x = np.arange(24.0).reshape(2, 3, 4)
@@ -520,10 +622,16 @@ class TestForwardValues:
             data = x.copy()
             got = ad.relu(Tensor(data, requires_grad=True), overwrite=True)
         assert got.data.tobytes() == want and np.shares_memory(got.data, data)
-        taped = Tensor(x.copy(), requires_grad=True)
-        out = ad.relu(taped, overwrite=True)  # a tape is recorded: x is left as it is
-        assert out.requires_grad and out.data.tobytes() == want
-        assert taped.data.tobytes() == x.tobytes()
+        g = default_rng(4).normal(size=x.shape)
+        grads = []
+        for overwrite in (False, True):  # taped too, the overwrite writes over x
+            taped = Tensor(x.copy(), requires_grad=True)
+            out = ad.relu(taped, overwrite=overwrite)
+            assert out.requires_grad and out.data.tobytes() == want
+            assert np.shares_memory(out.data, taped.data) == overwrite
+            ad.backward(ad.mean_all(ad.mul(out, g)))
+            grads.append(taped.grad.tobytes())
+        assert grads[0] == grads[1]
 
     def test_conv2d_rejects_bad_pad_mode_and_shapes(self):
         x, w, b = Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.zeros(2))
@@ -572,6 +680,13 @@ class TestBackward:
             [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3))],
         )
 
+    def test_matmul_with_a_bias(self):
+        rng = default_rng(12)
+        check_gradients(
+            lambda ts: weighted_mean(ad.matmul(ts[0], ts[1], ts[2])),
+            [rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=5)],
+        )
+
     def test_matmul_broadcast_shared_rhs(self):
         rng = default_rng(15)
         check_gradients(
@@ -610,7 +725,11 @@ class TestBackward:
             check_gradients(lambda ts: weighted_mean(ad.attention(ts[0], ts[1], ts[2], 0.7)), arrays)
 
     def test_layer_norm(self):
-        check_gradients(lambda ts: weighted_mean(ad.layer_norm(ts[0])), [default_rng(20).normal(size=(3, 6))])
+        rng = default_rng(20)
+        check_gradients(
+            lambda ts: weighted_mean(ad.layer_norm(ts[0], ts[1], ts[2])),
+            [rng.normal(size=(3, 6)), rng.normal(size=6), rng.normal(size=6)],
+        )
 
     def test_mean_all(self):
         t = Tensor(default_rng(21).normal(size=(4, 5)), requires_grad=True)
@@ -644,8 +763,8 @@ class TestBackward:
     @pytest.mark.parametrize("stride,pad_mode", [(1, "zero"), (1, "wrap"), (2, "zero"), (2, "wrap")])
     def test_conv2d_all_inputs_across_bands(self, monkeypatch, stride, pad_mode):
         # 7x7 output in four bands of 2 rows (the last of 1); 4x4 at stride 2
-        # in four bands of 1 row
-        monkeypatch.setattr(ad, "CONV_BLOCK", 14 if stride == 1 else 4)
+        # in four bands of 1 row; forward and backward alike
+        monkeypatch.setattr(ad, "CONV_BLOCK", 28 if stride == 1 else 4)
         rng = default_rng(50 + stride)
         check_gradients(
             lambda ts: weighted_mean(ad.conv2d(ts[0], ts[1], ts[2], stride=stride, pad=1, pad_mode=pad_mode)),
@@ -704,34 +823,52 @@ class TestBackward:
         for name, t in params.tensors.items():
             assert t.grad is not None and t.grad.shape == t.data.shape and t.grad.flags.c_contiguous, name
 
+    def test_a_taped_sample_keeps_only_what_its_closures_read(self):
+        # one 64 px cnn_vit sample as train() tapes it: 6.5 MiB of arrays and
+        # the Python objects of some 120 tensors and their closures. Taping
+        # each bias add, layer-norm product, conv output beside its ReLU and
+        # a centred copy of the stack kept 12.3 MiB.
+        tape, _, _ = taped_sample(64)
+        assert tape < 8 * taped_floats(ArchConfig(), 64) + (128 << 10)
+
     def test_a_taped_samples_backward_holds_its_frontier_and_one_band(self):
         # one 64 px cnn_vit sample as train() tapes it. Beyond the tape,
         # backward holds every parameter gradient, the output and the input
         # gradient of the op that runs, each at most conv1's output, and one
-        # convolution's backward band. The largest band is stage1.conv2's
-        # (stride 2, 64 -> 32 px, all 32 output rows): four phase planes of
-        # conv1's output and their gradient, w1 x (33 x 33 + 1) floats each,
-        # then the widened output gradient and one tap's input gradient, 32 x
-        # 33 columns of w2 and w1 floats. Keeping every op's gradient until
-        # backward returned held 15.7 MiB beyond the tape here.
+        # convolution's backward band, the largest of which is
+        # stage1.conv3's. With stage1.conv2's input gradient in one band of
+        # all 32 output rows it held 4.9 MiB beyond the tape here, and 15.7
+        # MiB while backward kept every op's gradient until it returned.
         arch = ArchConfig()
-        w1, w2, _ = arch.stage1_widths
-        params = init_network(arch, 0).view()
-        stack = default_rng(6).random((INPUT_CHANNELS, 64, 64))
+        tape, peak, params = taped_sample(64)
+        grads = sum(t.data.nbytes for t in params.tensors.values())
+        conv1_out = arch.stage1_widths[0] * 64 * 64 * 8
+        sides = {"stage1.conv1": 64, "stage1.conv2": 64, "stage1.conv3": 32}
+        band = max(
+            backward_band_floats(layer, sides[layer.name], layer.name != "stage1.conv1")
+            for layer in variant_layers(arch)
+            if layer.kind == "conv"
+        )
+        assert peak - tape < grads + 2 * conv1_out + 8 * band + (256 << 10)
+
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_mul_forms_no_product_for_a_parent_that_needs_no_gradient(self, constant_first):
+        # as bce_loss_graph multiplies log(p) by the constant target: x's
+        # gradient is written into g, or with the constant first, is the one
+        # product formed; the constant's product would be 512 KiB
+        rng = default_rng(9)
+        x, c = Tensor(rng.normal(size=(256, 256)), requires_grad=True), rng.normal(size=(256, 256))
+        out = ad.mul(c, x) if constant_first else ad.mul(x, c)
+        g = np.ones(out.shape)
         tracemalloc.start()
         try:
-            _, probs = forward_graph(params, stack)
-            root = ad.mul(bce_loss_graph(probs, (stack[0] > 0.5).astype(np.float64)), 0.25)
-            tape = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            ad.backward(root)
-            peak = tracemalloc.get_traced_memory()[1]
+            out._backward_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        grads = sum(t.data.nbytes for t in params.tensors.values())
-        conv1_out = w1 * 64 * 64 * 8
-        band = (2 * 4 * w1 * (33 * 33 + 1) + (w2 + w1) * 32 * 33) * 8
-        assert peak - tape < grads + 2 * conv1_out + band + (256 << 10)
+        np.testing.assert_array_equal(x.grad, c)
+        assert peak < (g.nbytes if constant_first else 0) + (16 << 10)
+        assert (x.grad is g) != constant_first
 
     def test_a_fresh_first_gradient_is_stored_without_a_copy(self):
         t, g = Tensor(np.zeros((2, 3)), requires_grad=True), np.ones((2, 3))

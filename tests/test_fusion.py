@@ -24,6 +24,7 @@ from tamperloc.fusion import (
     bce_loss,
     bce_loss_graph,
     build_feature_stack,
+    centre,
     check_views,
     finite_difference_check,
     forward,
@@ -263,17 +264,31 @@ class TestForward:
         x = default_rng(14).uniform(0.0, 1.0, (3, 16, 16))
         assert forward(params, x).tobytes() == forward_graph(params, x)[1].data.tobytes()
 
-    @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_cnn"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_a_no_tape_pass_keeps_the_traced_pre_activations(self, variant):
-        # a conv layer's ReLU writes over the conv output only when no trace
-        # holds it; the traced pass and the plain one give the same bytes
+        # a ReLU writes over the conv or matmul output before it only when no
+        # trace holds it; the traced pass and the plain one give the same bytes
         params = init_network(micro_arch(variant), 8)
         x = default_rng(15).uniform(0.0, 1.0, (3, 16, 16))
         trace = []
         with ad.no_grad():
-            _, probs = _forward_graph(params, x, "zero", trace)
+            _, probs = _forward_graph(params, centre(x), "zero", trace)
         assert all(np.any(t.data < 0.0) for t in trace)
         assert probs.data.tobytes() == forward(params, x).tobytes()
+
+    def test_an_encoder_block_tapes_twenty_ops(self):
+        # two layer norms, five matmuls with their biases, q/k/v split into
+        # heads (reshape and transpose each), attention, the heads joined
+        # back, the MLP's ReLU and two residual adds
+        params = init_network(micro_arch(), 0)
+        tokens = Tensor(default_rng(3).normal(size=(16, 8)), requires_grad=True)
+        seen, stack = {}, [fusion._attention_block(tokens, params, "encoder.0.", params.arch)]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen[id(t)] = t
+                stack.extend(t._parents)
+        assert sum(t._backward_fn is not None for t in seen.values()) == 20
 
     @pytest.mark.parametrize("variant", ["cnn_vit", "cnn_only", "vit_only", "vit_cnn"])
     def test_wrap_padding_translation_consistency(self, variant):
@@ -528,6 +543,27 @@ class TestFeatureViews:
         rows = ad.CONV_BLOCK // 2 // 192
         band = (52 * 9 * rows * 192 + 52 * (rows + 2) * 194) * 8
         assert peak < stack + conv1 + 2 * band + (3 << 19)
+
+    def test_predict_frees_the_stack_once_conv1_has_read_it(self, policy):
+        # 128 px on one worker: the peak is conv1, whose output sits beside
+        # the stack while its forward band holds a slab and the band's tap
+        # sum and product, plus 0.5 MiB for conv1's transposed weights and
+        # small temporaries. Keeping the stack through the whole network
+        # added stage1.conv2's output and band to that, 2.2 MiB here.
+        f = random_frame(7, 128, 128)
+        params = init_network(ArchConfig(), 0)
+        with policy(1):
+            predict(params, f)  # fills the texture view's spectrum cache for this size
+            tracemalloc.start()
+            try:
+                predict(params, f)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        stack, conv1 = 52 * 128 * 128 * 8, 32 * 128 * 128 * 8
+        rows = ad.CONV_BLOCK // 2 // 128
+        band = (52 * ((rows + 2) * 130 + 2) + 2 * 32 * rows * 130) * 8
+        assert peak < stack + conv1 + band + (1 << 19)
 
     def test_predict_rejects_non_multiview_arch(self):
         with pytest.raises(PipelineError, match="bad-arch"):

@@ -11,7 +11,7 @@ from numpy.random import default_rng
 from tamperloc import autodiff as ad
 from tamperloc.core import Frame
 from tamperloc.errors import PipelineError
-from tamperloc.fusion import VARIANTS, ArchConfig, bce_loss_graph, forward_graph, init_network
+from tamperloc.fusion import VARIANTS, ArchConfig, _forward_graph, bce_loss_graph, init_network
 from tamperloc.perturb import PerturbSpec, perturb_suite
 from tamperloc.train import (
     _SHUFFLE_TAG,
@@ -226,7 +226,7 @@ def single_tape_train(cfg, arch, items):
         total = None
         for item_idx in batch:
             stack, target = _sample_stack(cfg, items, cache, step, item_idx)
-            _, probs = forward_graph(params, stack)
+            _, probs = _forward_graph(params, stack, "zero")  # the stack comes centred
             loss = bce_loss_graph(probs, target)
             total = loss if total is None else ad.add(total, loss)
         total = ad.mul(total, 1.0 / cfg.batch_size)
