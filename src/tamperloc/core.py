@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,11 @@ def split_item(entry, index: int) -> "tuple[str, Frame, np.ndarray]":
     if mask.shape != (frame.height, frame.width):
         raise PipelineError("shape-mismatch", f"mask {mask.shape} vs frame {frame.height}x{frame.width}")
     return item_id, frame, mask
+
+
+def as_sequence(dataset) -> Sequence:
+    """``dataset`` itself when it can be indexed, else its items as a list."""
+    return dataset if isinstance(dataset, Sequence) else list(dataset)
 
 
 def check_int(value, code: str, what: str, low: int = 1, limit: float = math.inf) -> int:

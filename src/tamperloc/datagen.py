@@ -15,13 +15,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import Frame, check_int, check_real, check_seed
 from .errors import PipelineError
-from .formats import read_pgm, read_ppm, write_pgm, write_ppm
+from .formats import netpbm_header, read_pgm, read_ppm, write_pgm, write_ppm
 from .perturb import gaussian_blur, quantize_like_jpeg
 from .texture import BANK_SIDE
 
@@ -466,23 +467,74 @@ def _manifest_schema_ok(doc) -> bool:
     )
 
 
-def load_split(data_dir, split: str = "train") -> list[tuple[str, Frame, np.ndarray]]:
-    """Read one split back as (item id, frame, mask) triples, manifest order.
+class CorpusSplit(Sequence):
+    """One split of a corpus on disk, as (item id, frame, mask) items.
 
-    Frames come back 8-bit quantised by the file round trip, which is exactly
-    what training and evaluation are meant to see.
+    It holds each item's id, two file paths and checked (height, width), not
+    pixels: ``[i]`` reads item i's files, and so do iteration and the items
+    of a slice, so a consumer holds an item only while a job works on it. A
+    file that changed after ``load_split`` checked it fails as it is read,
+    naming the item: ``io-error`` when it is gone, its format's code (such
+    as ``truncated``) when it is corrupt, ``shape-mismatch`` when it has
+    another size.
+    """
+
+    def __init__(self, entries: tuple):
+        self._entries = entries  # (item id, frame path, mask path, (height, width))
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CorpusSplit(self._entries[index])
+        item_id, frame_path, mask_path, shape = self._entries[index]
+        try:
+            frame, mask = read_ppm(frame_path), read_pgm(mask_path)
+        except OSError as exc:
+            raise PipelineError("io-error", f"{item_id}: dataset file missing: {exc}") from exc
+        except PipelineError as exc:
+            raise PipelineError(exc.code, f"{item_id}: {exc.message}") from None
+        if (frame.height, frame.width) != shape or mask.shape != shape:
+            raise PipelineError(
+                "shape-mismatch",
+                f"{item_id}: frame {frame.height}x{frame.width} and mask {mask.shape[0]}x{mask.shape[1]}, "
+                f"checked as {shape[0]}x{shape[1]}",
+            )
+        return item_id, frame, mask
+
+
+def _checked_shape(path, magic: bytes) -> tuple[int, int]:
+    """(height, width) from a netpbm file's header, once the header is checked."""
+    with open(path, "rb") as fh:
+        width, height = netpbm_header(fh, magic)
+    return height, width
+
+
+def load_split(data_dir, split: str = "train") -> CorpusSplit:
+    """One split as a sequence of (item id, frame, mask) triples, manifest order.
+
+    Every file is checked now, as ``formats.netpbm_header`` checks it, and a
+    frame and its mask must have one size (else ``shape-mismatch``), so a
+    missing or corrupt file fails before any work starts. Pixels are read
+    only when an item is indexed (see ``CorpusSplit``). Frames come back
+    8-bit quantised by the file round trip, which is exactly what training
+    and evaluation are meant to see.
     """
     if split not in ("train", "eval", "all"):
         raise PipelineError("bad-split", f"split must be train, eval or all, got {split!r}")
     manifest = load_manifest(data_dir)
-    out = []
+    entries = []
     try:
         for item in manifest.items:
             if split != "all" and item["split"] != split:
                 continue
-            frame = read_ppm(os.path.join(data_dir, item["frame"]))
-            mask = read_pgm(os.path.join(data_dir, item["mask"]))
-            out.append((os.path.splitext(item["frame"])[0], frame, mask))
+            item_id = os.path.splitext(item["frame"])[0]
+            frame_path, mask_path = (os.path.abspath(os.path.join(data_dir, item[key])) for key in ("frame", "mask"))
+            shape, mask_shape = _checked_shape(frame_path, b"P6"), _checked_shape(mask_path, b"P5")
+            if mask_shape != shape:
+                raise PipelineError("shape-mismatch", f"{item_id}: mask {mask_shape} vs frame {shape[0]}x{shape[1]}")
+            entries.append((item_id, frame_path, mask_path, shape))
     except OSError as exc:
         raise PipelineError("io-error", f"dataset file missing in {data_dir}: {exc}") from exc
-    return out
+    return CorpusSplit(tuple(entries))

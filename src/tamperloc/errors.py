@@ -11,4 +11,5 @@ class PipelineError(ValueError):
 
     def __init__(self, code: str, message: str = ""):
         self.code = code
+        self.message = message
         super().__init__(f"{code}: {message}" if message else code)

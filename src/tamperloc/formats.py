@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from typing import Sequence
 
@@ -28,6 +29,8 @@ TENSOR_VERSION = 1
 PGM_VISUAL_ORIGINAL = 128
 PGM_READ_THRESHOLD = 192
 
+_CHANNELS = {b"P6": 3, b"P5": 1}
+
 
 def write_ppm(path, f: Frame) -> None:
     """Binary PPM, maxval 255, samples quantised by round(v * 255)."""
@@ -37,48 +40,70 @@ def write_ppm(path, f: Frame) -> None:
         fh.write(body)
 
 
-def _read_header_tokens(blob: bytes, count: int, offset: int) -> tuple[list[int], int]:
-    """Read ``count`` whitespace-separated integer tokens, skipping # comments."""
+def _header_ints(fh, count: int) -> list[int]:
+    """Read ``count`` whitespace-separated integer tokens, skipping # comments.
+
+    Exactly one whitespace byte separates the header from the payload; it is
+    consumed with the last token, so ``fh`` is left at the payload.
+    """
     tokens: list[int] = []
-    i = offset
+    c = fh.read(1)
     while len(tokens) < count:
-        while i < len(blob) and blob[i : i + 1].isspace():
-            i += 1
-        if i < len(blob) and blob[i : i + 1] == b"#":
-            while i < len(blob) and blob[i : i + 1] != b"\n":
-                i += 1
+        while c.isspace():
+            c = fh.read(1)
+        if c == b"#":
+            while c and c != b"\n":
+                c = fh.read(1)
             continue
-        start = i
-        while i < len(blob) and not blob[i : i + 1].isspace():
-            i += 1
-        if start == i:
+        token = b""
+        while c and not c.isspace():
+            token += c
+            c = fh.read(1)
+        if not token:
             raise PipelineError("truncated", "header ended early")
         try:
-            tokens.append(int(blob[start:i]))
+            tokens.append(int(token))
         except ValueError:
-            raise PipelineError("bad-header", f"expected integer, got {blob[start:i]!r}") from None
-    return tokens, i + 1  # exactly one whitespace byte separates header and payload
+            raise PipelineError("bad-header", f"expected integer, got {token!r}") from None
+    return tokens
 
 
-def _read_netpbm(path, magic: bytes) -> tuple[int, int, bytes]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(magic):
-        raise PipelineError("bad-magic", f"expected {magic.decode()}, got {blob[:2]!r}")
-    (width, height, maxval), offset = _read_header_tokens(blob, 3, len(magic))
+def netpbm_header(fh, magic: bytes) -> tuple[int, int]:
+    """``(width, height)`` of the binary PPM (``P6``) or PGM (``P5``) open as ``fh``.
+
+    Checks the magic, maxval 255, the dimensions, and that the file holds at
+    least the payload they need; leaves ``fh`` at the payload. The readers
+    and ``datagen.load_split``'s up-front check share it, so they cannot
+    disagree about a file.
+    """
+    head = fh.read(len(magic))
+    if head != magic:
+        raise PipelineError("bad-magic", f"expected {magic.decode()}, got {head!r}")
+    width, height, maxval = _header_ints(fh, 3)
     if maxval != 255:
         raise PipelineError("unsupported-depth", f"maxval must be 255, got {maxval}")
     if width < 1 or height < 1:
         raise PipelineError("bad-header", f"bad dimensions {width}x{height}")
-    return width, height, blob[offset:]
+    need = width * height * _CHANNELS[magic]
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have < need:
+        raise PipelineError("truncated", f"need {need} payload bytes, have {have}")
+    return width, height
+
+
+def _read_netpbm(path, magic: bytes) -> np.ndarray:
+    """The payload of a netpbm file as (H, W, channels) uint8."""
+    with open(path, "rb") as fh:
+        width, height = netpbm_header(fh, magic)
+        need = width * height * _CHANNELS[magic]
+        payload = fh.read(need)
+    if len(payload) < need:  # the file shrank after the header was checked
+        raise PipelineError("truncated", f"need {need} payload bytes, have {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, _CHANNELS[magic])
 
 
 def read_ppm(path) -> Frame:
-    width, height, payload = _read_netpbm(path, b"P6")
-    need = width * height * 3
-    if len(payload) < need:
-        raise PipelineError("truncated", f"need {need} payload bytes, have {len(payload)}")
-    pixels = np.frombuffer(payload[:need], dtype=np.uint8).reshape(height, width, 3)
+    pixels = _read_netpbm(path, b"P6")
     return Frame(pixels.transpose(2, 0, 1).astype(np.float64) / 255.0)
 
 
@@ -97,11 +122,7 @@ def write_pgm(path, mask: np.ndarray, visual: bool = False) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """Read a mask written in either mode; bytes >= 192 count as tampered."""
-    width, height, payload = _read_netpbm(path, b"P5")
-    need = width * height
-    if len(payload) < need:
-        raise PipelineError("truncated", f"need {need} payload bytes, have {len(payload)}")
-    raw = np.frombuffer(payload[:need], dtype=np.uint8).reshape(height, width)
+    raw = _read_netpbm(path, b"P5")[:, :, 0]
     return (raw >= PGM_READ_THRESHOLD).astype(np.float64)
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import check_seed, split_item
+from .core import as_sequence, check_seed, split_item
 from .errors import PipelineError
 from .fusion import ParamStore, check_views, predict
 from .perturb import PerturbSpec, perturb_pair
@@ -116,11 +116,13 @@ def evaluate(
 
     An optional perturbation is applied to every pair before prediction, with
     a per-item seed derived from ``seed`` so noisy kinds are reproducible.
-    Frames run on the workers of ``autodiff.thread_policy``; the rows keep
-    item order, so the report does not depend on the worker count.
+    Frames run on the workers of ``autodiff.thread_policy``; each job indexes
+    ``dataset`` for its own item, so a split from ``datagen.load_split`` is
+    read one frame per worker at a time. The rows keep item order, so the
+    report does not depend on the worker count.
     """
-    items = list(dataset)
-    if not items:
+    items = as_sequence(dataset)
+    if not len(items):
         raise PipelineError("empty-dataset", "nothing to evaluate")
     chosen, seed = check_views(views), check_seed(seed)
 

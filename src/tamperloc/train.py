@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .core import Frame, check_int, check_real, split_item
+from .core import Frame, as_sequence, check_int, check_real, split_item
+from .datagen import CorpusSplit
 from .errors import PipelineError
 from .fusion import (
     FEATURE_VIEWS,
@@ -38,6 +40,10 @@ ADAM_EPS = 1e-8
 
 _SHUFFLE_TAG = 101
 _AUGMENT_TAG = 202
+
+# Bytes of clean stacks (with their masks) kept cached between steps: 1 GiB
+# holds about 600 stacks of 64 px, or 38 of 256 px.
+STACK_CACHE_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ class Adam:
 
 def _sample_stack(
     cfg: TrainConfig,
-    items: list[tuple[Frame, np.ndarray]],
+    dataset,
     cache: dict,
     step: int,
     item_idx: int,
@@ -103,27 +109,41 @@ def _sample_stack(
     """Centred feature stack (the network's input) and target for one drawn
     sample, augmented or clean.
 
-    Clean stacks are extracted and centred once and cached, under the item's
-    ``fill`` lock, so one thread fills each entry; augmented samples
-    re-extract because every view is sensitive to the perturbed pixels.
+    A clean sample is ``cache[item_idx]``, its stack and mask, filled on a
+    miss (a missing or ``None`` entry) under the item's ``fill`` lock, so
+    one thread fills each entry. Augmented samples re-extract because every
+    view is sensitive to the perturbed pixels. ``dataset[item_idx]`` is
+    read only on a miss or an augmented draw.
     """
-    frame, mask = items[item_idx]
     if cfg.augment:
         key = [int(cfg.seed), _AUGMENT_TAG, int(step), int(item_idx)]
         rng = np.random.default_rng(np.random.SeedSequence(key))
         spec = cfg.augment[int(rng.integers(len(cfg.augment)))]
         if spec.kind != "none":
+            _, frame, mask = split_item(dataset[item_idx], item_idx)
             frame, mask = perturb_pair(frame, mask, spec, seed=key + [1])
             return _centred_stack(frame, cfg.views), mask
     with fill:
-        if item_idx not in cache:
-            cache[item_idx] = _centred_stack(frame, cfg.views)
-    return cache[item_idx], mask
+        if cache.get(item_idx) is None:
+            _, frame, mask = split_item(dataset[item_idx], item_idx)
+            cache[item_idx] = _centred_stack(frame, cfg.views), mask
+    return cache[item_idx]
 
 
 def _centred_stack(frame: Frame, views) -> np.ndarray:
     stack = build_feature_stack(frame, views).data
     return centre(stack, out=stack)
+
+
+def _evict(cache: OrderedDict) -> None:
+    """Drop the unfilled entries, then the least recently drawn ones until
+    the stacks and masks left take at most ``STACK_CACHE_BYTES``."""
+    for item_idx in [i for i, entry in cache.items() if entry is None]:
+        del cache[item_idx]
+    held = sum(stack.nbytes + mask.nbytes for stack, mask in cache.values())
+    while held > STACK_CACHE_BYTES:
+        stack, mask = cache.popitem(last=False)[1]
+        held -= stack.nbytes + mask.nbytes
 
 
 def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list[float]]:
@@ -136,19 +156,31 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
     losses and gradients are summed in draw order once all have run, so the
     batch loss is the mean of the per-sample terms and no byte depends on
     the worker count.
+
+    Items are indexed only when a sample needs their pixels (see
+    ``_sample_stack``); in-memory items are checked before step 1, and a
+    ``datagen.CorpusSplit`` was checked as it loaded. Clean stacks stay
+    cached between steps up to ``STACK_CACHE_BYTES``, least recently drawn
+    evicted first. Recency follows draw order and eviction runs after the
+    step, so what is cached depends on the draws alone; an evicted stack is
+    extracted again with the same bytes, so the budget moves no byte of the
+    result.
     """
-    items = [split_item(entry, index)[1:] for index, entry in enumerate(dataset)]
-    if not items:
+    dataset = as_sequence(dataset)
+    if not len(dataset):
         raise PipelineError("empty-dataset", "training needs at least one item")
+    if not isinstance(dataset, CorpusSplit):
+        for index, entry in enumerate(dataset):
+            split_item(entry, index)
     params = init_network(arch, cfg.seed)
     opt = Adam(params, cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), _SHUFFLE_TAG]))
-    cache: dict = {}
-    fills = [threading.Lock() for _ in items]
+    cache: OrderedDict = OrderedDict()  # least recently drawn first
+    fills = [threading.Lock() for _ in range(len(dataset))]
     scale = 1.0 / cfg.batch_size
 
     def sample(step: int, item_idx: int):
-        stack, target = _sample_stack(cfg, items, cache, step, item_idx, fills[item_idx])
+        stack, target = _sample_stack(cfg, dataset, cache, step, item_idx, fills[item_idx])
         view = params.view()
         _, probs = _forward_graph(view, stack, "zero")
         loss = bce_loss_graph(probs, target)
@@ -160,8 +192,10 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
     with ad.thread_policy():
         for step in range(cfg.steps):
             while len(order) < cfg.batch_size:
-                order.extend(int(i) for i in shuffle_rng.permutation(len(items)))
+                order.extend(int(i) for i in shuffle_rng.permutation(len(dataset)))
             batch, order = order[: cfg.batch_size], order[cfg.batch_size :]
+            for item_idx in batch:  # the most recently drawn last, a miss as None
+                cache[item_idx] = cache.pop(item_idx, None)
 
             samples = ad.share(lambda item_idx: sample(step, item_idx), batch)
             for k, tensor in enumerate(params.tensors.values()):
@@ -171,4 +205,5 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
                     tensor.grad += grad
             opt.step()
             history.append(float(sum(loss for loss, _ in samples) * scale))
+            _evict(cache)
     return params, history

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from numpy.random import default_rng
 
 from tamperloc.cli import EXIT_DATA, cli_main
+from tamperloc.core import Frame
 from tamperloc.datagen import (
     MANIFEST_NAME,
     MASK_FRACTION_BOUNDS,
@@ -29,9 +32,14 @@ from tamperloc.datagen import (
     splice,
 )
 from tamperloc.errors import PipelineError
+from tamperloc.formats import read_pgm, read_ppm, save_model, write_pgm, write_ppm
 from tamperloc.frequency import frequency_features
+from tamperloc.fusion import ArchConfig, init_network
 from tamperloc.pixel import srm_features
 from tamperloc.texture import BANK_SIDE
+
+datagen_mod = importlib.import_module("tamperloc.datagen")
+cli_mod = importlib.import_module("tamperloc.cli")
 
 
 def null_splice_spec(seed: int, sigma: float = 0.01, quality: int = 100, region: "Region | None" = None) -> SpliceSpec:
@@ -412,3 +420,103 @@ class TestMakeDataset:
         assert [item_id for item_id, _, _ in train] == ["frame_0000", "frame_0001"]
         evals = load_split(tmp_path, "eval")
         assert [item_id for item_id, _, _ in evals] == ["frame_0002", "frame_0003"]
+
+
+def damage(path: Path, how: str) -> None:
+    """Remove, truncate, or rewrite at another size the netpbm file at ``path``."""
+    if how == "removed":
+        path.unlink()
+    elif how == "truncated":
+        path.write_bytes(path.read_bytes()[:-1])
+    elif path.suffix == ".ppm":
+        write_ppm(path, Frame(np.full((3, 40, 40), 0.5)))
+    else:
+        write_pgm(path, np.zeros((40, 40)))
+
+
+DAMAGE_CODES = {"removed": "io-error", "truncated": "truncated", "resized": "shape-mismatch"}
+
+
+class TestCorpusSplit:
+    def test_reads_an_item_only_when_it_is_indexed(self, tmp_path, monkeypatch):
+        make_dataset(tmp_path, count=4, size=32, seed=2)
+        reads = []
+        real = datagen_mod.read_ppm
+        monkeypatch.setattr(datagen_mod, "read_ppm", lambda path: reads.append(Path(path).name) or real(path))
+        split = load_split(tmp_path, "all")
+        assert isinstance(split, Sequence) and len(split) == 4 and reads == []
+        item_id, frame, mask = split[-1]
+        assert item_id == "frame_0003" and reads == ["frame_0003.ppm"]
+        assert isinstance(frame, Frame) and mask.shape == (32, 32) and mask.dtype == np.float64
+        tail = split[1:3]
+        assert len(tail) == 2 and reads == ["frame_0003.ppm"]
+        assert [item_id for item_id, _, _ in tail] == ["frame_0001", "frame_0002"]
+        assert [item_id for item_id, _, _ in split] == [f"frame_{i:04d}" for i in range(4)]
+        with pytest.raises(IndexError):
+            split[4]
+
+    def test_items_are_the_files_pixels(self, tmp_path):
+        make_dataset(tmp_path, count=3, size=32, seed=4)
+        for item_id, frame, mask in load_split(tmp_path, "all"):
+            assert frame.data.tobytes() == read_ppm(tmp_path / f"{item_id}.ppm").data.tobytes()
+            index = item_id.split("_")[1]
+            assert mask.tobytes() == read_pgm(tmp_path / f"mask_{index}.pgm").tobytes()
+
+    def test_reads_by_absolute_path(self, tmp_path, monkeypatch):
+        make_dataset(tmp_path / "corpus", count=2, size=32, seed=1)
+        monkeypatch.chdir(tmp_path)
+        split = load_split("corpus", "all")
+        monkeypatch.chdir(tmp_path / "corpus")
+        assert split[0][0] == "frame_0000"
+
+    @pytest.mark.parametrize("how", ["removed", "truncated"])
+    @pytest.mark.parametrize("name", ["frame_0001.ppm", "mask_0001.pgm"])
+    def test_a_damaged_file_fails_at_load_with_todays_code(self, tmp_path, name, how):
+        make_dataset(tmp_path, count=3, size=32, seed=5)
+        damage(tmp_path / name, how)
+        with pytest.raises(PipelineError, match=f"^{DAMAGE_CODES[how]}:"):
+            load_split(tmp_path, "all")
+
+    def test_a_frame_in_place_of_its_mask_is_bad_magic_at_load(self, tmp_path):
+        make_dataset(tmp_path, count=2, size=32, seed=5)
+        doc = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        doc["items"][1]["mask"] = doc["items"][1]["frame"]
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(doc))
+        with pytest.raises(PipelineError, match="^bad-magic: expected P5"):
+            load_split(tmp_path, "all")
+
+    def test_a_mask_of_another_size_is_a_shape_mismatch_at_load(self, tmp_path):
+        make_dataset(tmp_path, count=3, size=32, seed=5)
+        write_pgm(tmp_path / "mask_0002.pgm", np.zeros((32, 30)))
+        with pytest.raises(PipelineError, match=r"^shape-mismatch: frame_0002: mask \(32, 30\) vs frame 32x32$"):
+            load_split(tmp_path, "all")
+
+    @pytest.mark.parametrize("how", sorted(DAMAGE_CODES))
+    @pytest.mark.parametrize("name", ["frame_0001.ppm", "mask_0001.pgm"])
+    def test_a_file_damaged_after_load_fails_as_it_is_read_naming_the_item(self, tmp_path, name, how):
+        make_dataset(tmp_path, count=3, size=32, seed=5)
+        split = load_split(tmp_path, "all")
+        damage(tmp_path / name, how)
+        assert split[0][0] == "frame_0000" and split[2][0] == "frame_0002"
+        with pytest.raises(PipelineError, match=f"^{DAMAGE_CODES[how]}: frame_0001: ") as info:
+            split[1]
+        assert info.value.code == DAMAGE_CODES[how]
+
+    @pytest.mark.parametrize("how", sorted(DAMAGE_CODES))
+    def test_eval_on_a_file_damaged_after_load_prints_one_error_line(self, tmp_path, monkeypatch, capsys, how):
+        make_dataset(tmp_path / "corpus", count=4, size=32, seed=5, train_fraction=0.5)
+        model = tmp_path / "m.uvlt"
+        save_model(model, init_network(ArchConfig(), 0))
+        real = cli_mod.load_split
+
+        def load_then_damage(data_dir, split):
+            items = real(data_dir, split)
+            damage(tmp_path / "corpus" / "frame_0003.ppm", how)
+            return items
+
+        monkeypatch.setattr(cli_mod, "load_split", load_then_damage)
+        argv = ["eval", "--model", str(model), "--data", str(tmp_path / "corpus"), "--json", str(tmp_path / "r.json")]
+        assert cli_main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {DAMAGE_CODES[how]}: frame_0003: ")
+        assert not (tmp_path / "r.json").exists()

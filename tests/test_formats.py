@@ -13,6 +13,7 @@ from tamperloc.formats import (
     PGM_VISUAL_ORIGINAL,
     TENSOR_MAGIC,
     load_model,
+    netpbm_header,
     read_pgm,
     read_ppm,
     read_report,
@@ -147,6 +148,54 @@ class TestPgm:
         path.write_bytes(b"P5\n8 8\n255\n" + b"\x00" * 63)
         with pytest.raises(PipelineError, match="truncated"):
             read_pgm(path)
+
+
+# (file bytes, the message every reader gives), as the readers gave them
+# before the header check was shared
+BAD_PPMS = [
+    (b"P3\n8 8\n255\n", "bad-magic: expected P6, got b'P3'"),
+    (b"", "bad-magic: expected P6, got b''"),
+    (b"P6\n8 8\n128\n" + b"\x00" * 192, "unsupported-depth: maxval must be 255, got 128"),
+    (b"P6\n8 8\n255\n" + b"\x00" * 191, "truncated: need 192 payload bytes, have 191"),
+    (b"P6\n8 8\n255", "truncated: need 192 payload bytes, have 0"),
+    (b"P6\n8 8\n", "truncated: header ended early"),
+    (b"P6\n8 eight\n255\n", "bad-header: expected integer, got b'eight'"),
+    (b"P6\n0 8\n255\n", "bad-header: bad dimensions 0x8"),
+]
+
+
+def header_of(path, magic: bytes) -> tuple[int, int]:
+    with open(path, "rb") as fh:
+        return netpbm_header(fh, magic)
+
+
+class TestNetpbmHeader:
+    @pytest.mark.parametrize("magic", [b"P6", b"P5"])
+    def test_returns_width_and_height_and_leaves_the_file_at_the_payload(self, tmp_path, magic):
+        path = tmp_path / "f"
+        channels = 3 if magic == b"P6" else 1
+        payload = bytes(range(7 * 5 * channels))
+        path.write_bytes(magic + b"\n# a comment\n7 5\n255\n" + payload + b"tail")
+        with open(path, "rb") as fh:
+            assert netpbm_header(fh, magic) == (7, 5)
+            assert fh.read(len(payload)) == payload
+
+    @pytest.mark.parametrize("blob,message", BAD_PPMS, ids=[m.split(":")[0] + f"-{i}" for i, (_, m) in enumerate(BAD_PPMS)])
+    def test_the_check_and_the_reader_give_the_same_error(self, tmp_path, blob, message):
+        path = tmp_path / "f.ppm"
+        path.write_bytes(blob)
+        for check in (lambda: read_ppm(path), lambda: header_of(path, b"P6")):
+            with pytest.raises(PipelineError) as info:
+                check()
+            assert str(info.value) == message
+
+    def test_a_mask_payload_is_counted_in_single_bytes(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n8 8\n255\n" + b"\x00" * 63)
+        with pytest.raises(PipelineError, match="^truncated: need 64 payload bytes, have 63$"):
+            header_of(path, b"P5")
+        path.write_bytes(b"P5\n8 8\n255\n" + b"\x00" * 64)
+        assert header_of(path, b"P5") == (8, 8)
 
 
 class TestTensorFile:

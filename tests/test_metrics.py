@@ -1,5 +1,7 @@
 import json
 import math
+import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from numpy.random import default_rng
 import tamperloc.autodiff as ad
 import tamperloc.metrics as metrics_mod
 from tamperloc.core import Frame
+from tamperloc.datagen import load_split, make_dataset
 from tamperloc.errors import PipelineError
 from tamperloc.formats import write_report
 from tamperloc.fusion import ArchConfig, init_network, predict
@@ -261,3 +264,30 @@ class TestSharedFrames:
         # one frame alone: its four views, then one job per band of those
         # four convolutions, then one per head in each encoder layer
         assert pool_tasks == [3] + [4] + [8, 2, 2, 2] + [4] * 2
+
+
+class TestStreamedSplit:
+    # The rows and split entries of 12 more items take a few KiB; the rest
+    # of the margin covers how two workers' frames happen to overlap in time.
+    MARGIN = 256 * 2**10
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_peak_memory_grows_by_no_more_than_a_frame_per_worker(self, policy, tmp_path, cores):
+        size = 48
+        params = init_network(ArchConfig(), 0)
+        for count in (4, 16):
+            make_dataset(tmp_path / str(count), count=count, size=size, seed=3)
+
+        def peak(count: int) -> int:
+            tracemalloc.start()
+            try:
+                with policy(cores):
+                    evaluate(params, load_split(tmp_path / str(count), "all"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # the views' caches fill outside the comparison
+        peaks = {count: statistics.median(peak(count) for _ in range(3)) for count in (4, 16)}
+        item = (3 + 1) * size * size * 8  # a float64 frame and its mask
+        assert peaks[16] <= peaks[4] + cores * item + self.MARGIN

@@ -3,6 +3,7 @@ import importlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.random import default_rng
 
 from tamperloc import autodiff as ad
 from tamperloc.core import Frame
+from tamperloc.datagen import load_split, make_dataset
 from tamperloc.errors import PipelineError
 from tamperloc.fusion import VARIANTS, ArchConfig, _forward_graph, bce_loss_graph, init_network
 from tamperloc.perturb import PerturbSpec, perturb_suite
@@ -25,6 +27,7 @@ from tamperloc.train import (
 )
 
 train_mod = importlib.import_module("tamperloc.train")  # the package exports a function of that name
+datagen_mod = importlib.import_module("tamperloc.datagen")
 
 
 def balanced_items(count: int = 3, size: int = 32):
@@ -314,3 +317,87 @@ class TestSharedSamples:
         # four forward convolutions, then one per head in each encoder
         # layer, forward and back
         assert pool_tasks == [2] * 3 + [4] + [8, 2, 2, 2] + [4] * 2 * 2
+
+
+def cache_entry_bytes(size: int) -> int:
+    """A cached float64 stack of the default network's input and its mask."""
+    return (ArchConfig().input_channels + 1) * size * size * 8
+
+
+class TestStackCache:
+    def test_keeps_the_most_recently_drawn_stacks_within_the_budget(self, monkeypatch, policy):
+        items = balanced_items(5)
+        monkeypatch.setattr(train_mod, "STACK_CACHE_BYTES", 2 * cache_entry_bytes(32))
+        kept = []
+        evict = train_mod._evict
+
+        def recording(cache):
+            evict(cache)
+            kept.append(list(cache))
+            assert sum(stack.nbytes + mask.nbytes for stack, mask in cache.values()) <= train_mod.STACK_CACHE_BYTES
+
+        monkeypatch.setattr(train_mod, "_evict", recording)
+        cfg = TrainConfig(steps=6, batch_size=3, seed=4)
+        shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SHUFFLE_TAG]))
+        draws = [int(i) for _ in range(4) for i in shuffle_rng.permutation(len(items))]
+        want = []
+        for step in range(cfg.steps):
+            drawn = draws[: (step + 1) * cfg.batch_size]
+            recency = sorted(set(drawn), key=lambda i: max(k for k, d in enumerate(drawn) if d == i))
+            want.append(recency[-2:])
+        for cores in (1, 2):
+            kept.clear()
+            with policy(cores):
+                train(cfg, ArchConfig(), items)
+            assert kept == want
+
+    @pytest.mark.parametrize("augment", [(), perturb_suite()], ids=["clean", "augmented"])
+    def test_a_budget_below_one_stack_moves_no_byte(self, monkeypatch, policy, tmp_path, augment):
+        make_dataset(tmp_path, count=3, size=32, seed=1, train_fraction=1.0)
+        split, arch = load_split(tmp_path, "train"), ArchConfig()
+        cfg = TrainConfig(steps=8, batch_size=4, seed=5, augment=augment)
+        reads = []
+        read_ppm = datagen_mod.read_ppm
+        monkeypatch.setattr(datagen_mod, "read_ppm", lambda path: reads.append(path) or read_ppm(path))
+        with policy(1):
+            want = training_digest(*train(cfg, arch, split))
+        if not augment:
+            assert len(reads) == len(split)  # each item once, on its first draw
+        default_reads = len(reads)
+        monkeypatch.setattr(train_mod, "STACK_CACHE_BYTES", cache_entry_bytes(32) - 1)
+        for cores in (1, 2):
+            reads.clear()
+            with policy(cores):
+                assert training_digest(*train(cfg, arch, split)) == want
+            assert len(reads) > default_reads  # evicted stacks were extracted again
+            assert len(reads) <= cfg.steps * cfg.batch_size  # an item is read on a miss or an augmented draw only
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_peak_memory_grows_by_no_more_than_the_budget_and_a_batch(self, monkeypatch, policy, tmp_path, cores):
+        size, batch = 48, 4
+        entry = cache_entry_bytes(size)
+        monkeypatch.setattr(train_mod, "STACK_CACHE_BYTES", 2 * entry)
+        for count in (4, 16):
+            make_dataset(tmp_path / str(count), count=count, size=size, seed=3, train_fraction=1.0)
+
+        def peak(count: int) -> int:
+            tracemalloc.start()
+            try:
+                with policy(cores):
+                    train(TrainConfig(steps=4, batch_size=batch), ArchConfig(), load_split(tmp_path / str(count), "train"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # the views' caches fill outside the comparison
+        peaks = {count: peak(count) for count in (4, 16)}
+        assert peaks[16] <= peaks[4] + train_mod.STACK_CACHE_BYTES + batch * entry
+
+    def test_errors_in_in_memory_items_surface_before_step_1(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(train_mod.Adam, "step", lambda opt: steps.append(opt))
+        items = balanced_items(3)
+        for bad, code in (((items[0][0],), "bad-item"), ((items[0][0], np.zeros((8, 8))), "shape-mismatch")):
+            with pytest.raises(PipelineError, match=code):
+                train(TrainConfig(steps=2, batch_size=1), ArchConfig(), items + [bad])
+        assert steps == []
