@@ -3,9 +3,11 @@
 Builds an 8-frame synthetic corpus, trains the default fused architecture
 for 240 steps, then reports the loss curve and per-frame tampered-class
 IoU on the frames it trained on. A minute of CPU is enough for the
-network to localize the training splices convincingly.
+network to localize the training splices convincingly. DEMO_STEPS sets the
+number of training steps (240).
 """
 
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -22,7 +24,7 @@ with tempfile.TemporaryDirectory(prefix="train_demo_") as tmp:
     items = load_split(root / "data", "train")
     print(f"corpus: {len(items)} spliced 64x64 frames")
 
-    cfg = TrainConfig(steps=240, lr=1e-3, batch_size=4, seed=11)
+    cfg = TrainConfig(steps=int(os.environ.get("DEMO_STEPS", 240)), lr=1e-3, batch_size=4, seed=11)
     t0 = time.monotonic()
     params, history = train(cfg, ArchConfig(), items)
     print(f"trained {sum(t.data.size for t in params.tensors.values())} parameters "

@@ -476,7 +476,7 @@ class CorpusSplit(Sequence):
     file that changed after ``load_split`` checked it fails as it is read,
     naming the item: ``io-error`` when it is gone, its format's code (such
     as ``truncated``) when it is corrupt, ``shape-mismatch`` when it has
-    another size.
+    another size. So a split must not outlive its directory.
     """
 
     def __init__(self, entries: tuple):
@@ -517,7 +517,8 @@ def load_split(data_dir, split: str = "train") -> CorpusSplit:
     Every file is checked now, as ``formats.netpbm_header`` checks it, and a
     frame and its mask must have one size (else ``shape-mismatch``), so a
     missing or corrupt file fails before any work starts. Pixels are read
-    only when an item is indexed (see ``CorpusSplit``). Frames come back
+    only when an item is indexed (see ``CorpusSplit``), so the split is
+    usable only while the corpus stays where it is. Frames come back
     8-bit quantised by the file round trip, which is exactly what training
     and evaluation are meant to see.
     """

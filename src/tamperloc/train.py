@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import Frame, as_sequence, check_int, check_real, split_item
-from .datagen import CorpusSplit
 from .errors import PipelineError
 from .fusion import (
     FEATURE_VIEWS,
@@ -110,10 +108,10 @@ def _sample_stack(
     sample, augmented or clean.
 
     A clean sample is ``cache[item_idx]``, its stack and mask, filled on a
-    miss (a missing or ``None`` entry) under the item's ``fill`` lock, so
-    one thread fills each entry. Augmented samples re-extract because every
-    view is sensitive to the perturbed pixels. ``dataset[item_idx]`` is
-    read only on a miss or an augmented draw.
+    miss under the item's ``fill`` lock, so one thread fills each entry.
+    Augmented samples re-extract because every view is sensitive to the
+    perturbed pixels. ``dataset[item_idx]`` is read, and checked with
+    ``core.split_item``, only on a miss or an augmented draw.
     """
     if cfg.augment:
         key = [int(cfg.seed), _AUGMENT_TAG, int(step), int(item_idx)]
@@ -124,7 +122,7 @@ def _sample_stack(
             frame, mask = perturb_pair(frame, mask, spec, seed=key + [1])
             return _centred_stack(frame, cfg.views), mask
     with fill:
-        if cache.get(item_idx) is None:
+        if item_idx not in cache:
             _, frame, mask = split_item(dataset[item_idx], item_idx)
             cache[item_idx] = _centred_stack(frame, cfg.views), mask
     return cache[item_idx]
@@ -133,17 +131,6 @@ def _sample_stack(
 def _centred_stack(frame: Frame, views) -> np.ndarray:
     stack = build_feature_stack(frame, views).data
     return centre(stack, out=stack)
-
-
-def _evict(cache: OrderedDict) -> None:
-    """Drop the unfilled entries, then the least recently drawn ones until
-    the stacks and masks left take at most ``STACK_CACHE_BYTES``."""
-    for item_idx in [i for i, entry in cache.items() if entry is None]:
-        del cache[item_idx]
-    held = sum(stack.nbytes + mask.nbytes for stack, mask in cache.values())
-    while held > STACK_CACHE_BYTES:
-        stack, mask = cache.popitem(last=False)[1]
-        held -= stack.nbytes + mask.nbytes
 
 
 def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list[float]]:
@@ -157,29 +144,27 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
     batch loss is the mean of the per-sample terms and no byte depends on
     the worker count.
 
-    Items are indexed only when a sample needs their pixels (see
-    ``_sample_stack``); in-memory items are checked before step 1, and a
-    ``datagen.CorpusSplit`` was checked as it loaded. Clean stacks stay
-    cached between steps up to ``STACK_CACHE_BYTES``, least recently drawn
-    evicted first. Recency follows draw order and eviction runs after the
-    step, so what is cached depends on the draws alone; an evicted stack is
-    extracted again with the same bytes, so the budget moves no byte of the
-    result.
+    Items are indexed, and checked, only when a sample needs their pixels
+    (see ``_sample_stack``), so a malformed item fails the step that first
+    draws it. After each step the calling thread keeps that step's new
+    clean stacks, in draw order, while the kept ones fit in
+    ``STACK_CACHE_BYTES``; once the budget is reached nothing more is added
+    and the other items are extracted again on each draw. What is kept
+    depends on the draws alone, and a stack extracted again has the same
+    bytes, so the budget moves no byte of the result.
     """
     dataset = as_sequence(dataset)
     if not len(dataset):
         raise PipelineError("empty-dataset", "training needs at least one item")
-    if not isinstance(dataset, CorpusSplit):
-        for index, entry in enumerate(dataset):
-            split_item(entry, index)
     params = init_network(arch, cfg.seed)
     opt = Adam(params, cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), _SHUFFLE_TAG]))
-    cache: OrderedDict = OrderedDict()  # least recently drawn first
+    kept: dict = {}  # item index -> clean stack and mask, kept between steps
+    held = 0  # their bytes
     fills = [threading.Lock() for _ in range(len(dataset))]
     scale = 1.0 / cfg.batch_size
 
-    def sample(step: int, item_idx: int):
+    def sample(step: int, item_idx: int, cache: dict):
         stack, target = _sample_stack(cfg, dataset, cache, step, item_idx, fills[item_idx])
         view = params.view()
         _, probs = _forward_graph(view, stack, "zero")
@@ -194,10 +179,8 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
             while len(order) < cfg.batch_size:
                 order.extend(int(i) for i in shuffle_rng.permutation(len(dataset)))
             batch, order = order[: cfg.batch_size], order[cfg.batch_size :]
-            for item_idx in batch:  # the most recently drawn last, a miss as None
-                cache[item_idx] = cache.pop(item_idx, None)
-
-            samples = ad.share(lambda item_idx: sample(step, item_idx), batch)
+            cache = {item_idx: kept[item_idx] for item_idx in batch if item_idx in kept}
+            samples = ad.share(lambda item_idx: sample(step, item_idx, cache), batch)
             for k, tensor in enumerate(params.tensors.values()):
                 parts = [grads[k] for _, grads in samples if grads[k] is not None]
                 tensor.grad = parts[0] if parts else None  # the first sample's own array
@@ -205,5 +188,10 @@ def train(cfg: TrainConfig, arch: ArchConfig, dataset) -> tuple[ParamStore, list
                     tensor.grad += grad
             opt.step()
             history.append(float(sum(loss for loss, _ in samples) * scale))
-            _evict(cache)
+            for item_idx in batch:
+                if item_idx in cache and item_idx not in kept:
+                    stack, mask = cache[item_idx]
+                    if held + stack.nbytes + mask.nbytes <= STACK_CACHE_BYTES:
+                        kept[item_idx] = cache[item_idx]
+                        held += stack.nbytes + mask.nbytes
     return params, history

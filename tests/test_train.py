@@ -325,31 +325,27 @@ def cache_entry_bytes(size: int) -> int:
 
 
 class TestStackCache:
-    def test_keeps_the_most_recently_drawn_stacks_within_the_budget(self, monkeypatch, policy):
+    def test_keeps_the_first_drawn_stacks_that_fit_the_budget(self, monkeypatch, policy):
+        # a budget of two stacks keeps the first two items drawn; every
+        # other item is extracted once in each step that draws it
         items = balanced_items(5)
         monkeypatch.setattr(train_mod, "STACK_CACHE_BYTES", 2 * cache_entry_bytes(32))
-        kept = []
-        evict = train_mod._evict
-
-        def recording(cache):
-            evict(cache)
-            kept.append(list(cache))
-            assert sum(stack.nbytes + mask.nbytes for stack, mask in cache.values()) <= train_mod.STACK_CACHE_BYTES
-
-        monkeypatch.setattr(train_mod, "_evict", recording)
+        extracted = []
+        real = train_mod.build_feature_stack
+        monkeypatch.setattr(train_mod, "build_feature_stack", lambda frame, views: extracted.append(id(frame)) or real(frame, views))
         cfg = TrainConfig(steps=6, batch_size=3, seed=4)
         shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SHUFFLE_TAG]))
         draws = [int(i) for _ in range(4) for i in shuffle_rng.permutation(len(items))]
-        want = []
+        kept, want = [], []
         for step in range(cfg.steps):
-            drawn = draws[: (step + 1) * cfg.batch_size]
-            recency = sorted(set(drawn), key=lambda i: max(k for k, d in enumerate(drawn) if d == i))
-            want.append(recency[-2:])
+            batch = draws[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+            want += [id(items[i][0]) for i in dict.fromkeys(batch) if i not in kept]
+            kept += [i for i in dict.fromkeys(batch) if i not in kept][: 2 - len(kept)]
         for cores in (1, 2):
-            kept.clear()
+            extracted.clear()
             with policy(cores):
                 train(cfg, ArchConfig(), items)
-            assert kept == want
+            assert sorted(extracted) == sorted(want)
 
     @pytest.mark.parametrize("augment", [(), perturb_suite()], ids=["clean", "augmented"])
     def test_a_budget_below_one_stack_moves_no_byte(self, monkeypatch, policy, tmp_path, augment):
@@ -393,11 +389,12 @@ class TestStackCache:
         peaks = {count: peak(count) for count in (4, 16)}
         assert peaks[16] <= peaks[4] + train_mod.STACK_CACHE_BYTES + batch * entry
 
-    def test_errors_in_in_memory_items_surface_before_step_1(self, monkeypatch):
+    def test_an_in_memory_item_is_checked_on_its_first_draw(self, monkeypatch):
         steps = []
         monkeypatch.setattr(train_mod.Adam, "step", lambda opt: steps.append(opt))
         items = balanced_items(3)
         for bad, code in (((items[0][0],), "bad-item"), ((items[0][0], np.zeros((8, 8))), "shape-mismatch")):
+            steps.clear()
             with pytest.raises(PipelineError, match=code):
-                train(TrainConfig(steps=2, batch_size=1), ArchConfig(), items + [bad])
-        assert steps == []
+                train(TrainConfig(steps=8, batch_size=1), ArchConfig(), items + [bad])
+            assert len(steps) < 4  # the first epoch draws every item
