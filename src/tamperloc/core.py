@@ -6,9 +6,9 @@ Conventions used throughout the package:
 * feature stacks are ``(C, H, W)`` float64 with one text label per channel;
 * filtering is cross-correlation (kernels applied as written, never reversed)
   with reflect padding that mirrors about the edge sample without repeating it.
-  That is numpy's ``np.pad(mode="reflect")`` and scipy.ndimage's
+  That is numpy's ``np.pad(mode="reflect")`` (scipy.ndimage calls it
   ``mode="mirror"``; ndimage's ``mode="reflect"`` repeats the edge sample and
-  is wrong here;
+  is wrong here);
 * all internal arithmetic is 64-bit, file formats narrow to 32-bit on write.
 """
 
@@ -20,11 +20,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import PipelineError
 
 MIN_FRAME_SIDE = 8
+DBL_EPSILON = float(np.finfo(np.float64).eps)
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601 luma coefficients
 
 RGB_LABELS = ("rgb_R", "rgb_G", "rgb_B")
@@ -115,16 +115,33 @@ def apply_kernel_bank(data: np.ndarray, kernels: np.ndarray, out: "np.ndarray | 
 
     ``data`` is ``(C, H, W)``, ``kernels`` is ``(K, k, k)`` with one shared odd
     size; returns ``(K, C, H, W)`` with reflect padding, written into ``out``
-    when it is given and into a new array otherwise. Direct sums keep small
-    integer kernels exact. A kernel larger than the image is
-    ``kernel-exceeds-image``.
+    when it is given and into a new array otherwise. A kernel larger than the
+    image is ``kernel-exceeds-image``.
+
+    Each output sample is 0.0 plus weight * sample for every tap with
+    |weight| > DBL_EPSILON, in row-major tap order: the sum
+    ``scipy.ndimage.correlate(mode="mirror")`` forms, bit for bit, and exact
+    for small integer kernels. A tap is one multiply and one add over the
+    padded channels read as flat rows, so every tap is a contiguous slice; the
+    columns that wrap past a row's end are computed and dropped.
     """
     side = kernels.shape[-1]
     if side > data.shape[-2] or side > data.shape[-1]:
         raise PipelineError("kernel-exceeds-image", f"kernel {side}x{side} does not fit {data.shape[-2]}x{data.shape[-1]}")
     out = np.empty((len(kernels),) + data.shape) if out is None else out
-    for k, plane in zip(kernels, out):
-        ndimage.correlate(data, k[np.newaxis], output=plane, mode="mirror")
+    r = side // 2
+    c, h, w = data.shape
+    padded = np.pad(data, ((0, 0), (r, r), (r, r)), mode="reflect").reshape(c, -1)
+    stride, span = w + 2 * r, (h - 1) * (w + 2 * r) + w  # padded row length; flat extent of one output plane
+    acc, product = np.empty((2, c, h * stride))
+    for kernel, plane in zip(kernels, out):
+        acc[...] = 0.0
+        for (i, j), weight in np.ndenumerate(kernel):
+            if abs(weight) > DBL_EPSILON:
+                start = i * stride + j
+                np.multiply(padded[:, start : start + span], weight, out=product[:, :span])
+                acc[:, :span] += product[:, :span]
+        plane[...] = acc.reshape(c, h, stride)[:, :, :w]
     return out
 
 

@@ -4,12 +4,20 @@ Each channel is reflect-padded to a block multiple, transformed with the
 orthonormal 2-D DCT-II, masked to a diagonal frequency band, inverted and
 cropped back. Compression history shows up as band-energy structure aligned
 to block boundaries, which differs between spliced material and its host.
+
+The DCT is a numpy port of pocketfft's type-2/3 DCT (Makhoul, IEEE TASSP 1980: one
+real FFT of a reordered sequence plus a twiddle pass), the routine behind
+``scipy.fft.dctn(norm="ortho")``, step for step, so every coefficient has the
+same bytes. The band filter is a fixed linear map per block, so the view
+applies it as gemms with the DCT matrix of the same routine.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .core import Frame, FeatureStack, affine_map_to_unit
 from .errors import PipelineError
@@ -19,6 +27,127 @@ BAND_SPECS = ((32, "low"), (16, "mid"), (8, "high"), (4, "full"))
 CLAMP_LO, CLAMP_HI = -1.0, 2.0
 
 FREQUENCY_LABELS = tuple(f"dct{b}_{band}_{c}" for b, band in BAND_SPECS for c in ("R", "G", "B"))
+
+_SQRT2 = math.sqrt(2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _twiddles(n: int) -> np.ndarray:
+    """cos(2 pi (i + 1) / 4n) for i < n, rounded as pocketfft's ``sincos_2pibyn(4n)``:
+    each angle splits into a table entry for its low and its high bits, and
+    the cosine is the real part of their product."""
+    m = 4 * n
+    ang = float(np.longdouble(0.25) * np.longdouble("3.141592653589793238462643383279502884197") / m)
+    shift = 1
+    while 4**shift < (m + 2) // 2:
+        shift += 1
+
+    def entry(x):  # exp(2 pi i x / m) for 0 <= x <= n, by octant
+        if x == 0:
+            return 1.0, 0.0
+        x <<= 3
+        if x < m:
+            return math.cos(x * ang), math.sin(x * ang)
+        if x < 2 * m:
+            return math.sin((2 * m - x) * ang), math.cos((2 * m - x) * ang)
+        x -= 2 * m
+        if x < m:
+            return -math.sin(x * ang), math.cos(x * ang)
+        return -math.cos((2 * m - x) * ang), math.sin((2 * m - x) * ang)
+
+    low_bits = (1 << shift) - 1
+    out = []
+    for i in range(1, n + 1):
+        (ar, ai), (br, bi) = entry(i & low_bits), entry(i >> shift << shift)
+        out.append(ar * br - ai * bi)
+    return np.array(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _twiddle_plan(n: int, scale: float, ndim: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """tw[k - 1] and tw[n - k - 1] for 0 < k < (n + 1) // 2, shaped to scale the
+    rows of an ``ndim`` array, and 2 tw[n // 2 - 1] for its middle row, all
+    times ``scale``."""
+    tw = _twiddles(n) * scale
+    ns2, lanes = (n + 1) // 2, (1,) * (ndim - 1)
+    return tw[: ns2 - 1].reshape((-1,) + lanes), tw[n - 2 : n - ns2 - 1 : -1].reshape((-1,) + lanes), 2.0 * tw[ns2 - 1]
+
+
+def _dct_along(x: np.ndarray, axis: int, fct: float, inverse: bool, out=None, work=None) -> np.ndarray:
+    """pocketfft's ortho DCT-II (DCT-III when ``inverse``) of ``x`` along ``axis``,
+    with its FFT output scaled by ``fct``.
+
+    The result is a view of ``out`` (a contiguous array of ``x.size`` floats,
+    which a forward pass may share with ``x``) holding the transform axis
+    first; ``work`` is complex scratch of ``(n // 2 + 1) * x.size / n``
+    entries. Either is allocated when None. Each step is one numpy call over
+    every lane. A power-of-two ``fct`` and the forward pass's 1/2 are folded
+    into the twiddles, which scales each product exactly.
+    """
+    c = x.swapaxes(0, axis)
+    n, ns2, half, lanes = c.shape[0], (c.shape[0] + 1) // 2, (c.shape[0] - 1) // 2, c.shape[1:]
+    r = np.empty(c.shape) if out is None else out.reshape(c.shape)
+    z = np.empty((n // 2 + 1,) + lanes, np.complex128) if work is None else work.reshape((n // 2 + 1,) + lanes)
+    t1, t2 = z.reshape(-1).view(np.float64)[: 2 * (ns2 - 1) * r[0].size].reshape((2, ns2 - 1) + lanes)
+    fold = fct if math.frexp(fct)[0] == 0.5 else 1.0
+    a, b, mid = _twiddle_plan(n, fold if inverse else 0.5 * fold, c.ndim)
+    lo, hi = r[1:ns2], r[n - 1 : n - ns2 : -1]  # r[k], r[n - k] for 0 < k < ns2
+    if not inverse:  # 2 c[0], (c[k] + c[k+1], c[k+1] - c[k]) for odd k, 2 c[n-1] as a half-complex spectrum
+        np.multiply(c[0], 2.0, out=z.real[0])
+        np.add(c[1 : n - 1 : 2], c[2:n:2], out=z.real[1 : half + 1])
+        np.subtract(c[2:n:2], c[1 : n - 1 : 2], out=z.imag[1 : half + 1])
+        if n % 2 == 0:
+            np.multiply(c[n - 1], 2.0, out=z.real[n // 2])
+        np.fft.irfft(z, n=n, axis=0, norm="forward", out=r)
+        if fold != fct:
+            r *= fct
+        np.multiply(a, hi, out=t1)  # t1, t2 reuse the spectrum's memory
+        t1 += np.multiply(b, lo, out=t2)
+        np.multiply(a, lo, out=t2)
+        hi *= b
+        t2 -= hi
+        np.add(t1, t2, out=lo)
+        np.subtract(t1, t2, out=hi)
+        if n % 2 == 0:
+            r[ns2] *= mid
+        r[0] *= _SQRT2 * 0.5 * fold
+        return r.swapaxes(0, axis)
+    np.add(c[1:ns2], c[n - 1 : n - ns2 : -1], out=t1)
+    np.subtract(c[1:ns2], c[n - 1 : n - ns2 : -1], out=t2)
+    np.multiply(c[0], _SQRT2 * fold, out=r[0])
+    if n % 2 == 0:
+        np.multiply(c[ns2], mid, out=r[ns2])
+    np.multiply(a, t2, out=lo)
+    np.multiply(a, t1, out=hi)
+    t1 *= b
+    lo += t1
+    t2 *= b
+    hi -= t2
+    np.fft.rfft(r, axis=0, out=z)
+    if fold != fct:
+        z.real *= fct
+        z.imag *= fct
+    r[0] = z.real[0]  # unpack and undo the pairing: r[k], r[k+1] = re - im, im + re for odd k
+    np.subtract(z.real[1 : half + 1], z.imag[1 : half + 1], out=r[1 : n - 1 : 2])
+    np.add(z.imag[1 : half + 1], z.real[1 : half + 1], out=r[2:n:2])
+    if n % 2 == 0:
+        r[n - 1] = z.real[n // 2]
+    return r.swapaxes(0, axis)
+
+
+@functools.lru_cache(maxsize=None)
+def _ortho(shape: tuple[int, ...]) -> float:
+    """pocketfft's orthonormal factor 1/sqrt(prod 2n), in long double."""
+    return float(1 / np.sqrt(np.longdouble(math.prod(2 * n for n in shape))))
+
+
+def _dctn(x: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
+    """``scipy.fft.dctn`` (``idctn`` when ``inverse``) with ``type=2, norm="ortho"``:
+    the factor goes with the first axis, as in pocketfft."""
+    fct = _ortho(tuple(x.shape[a] for a in axes))
+    for a in axes:
+        x, fct = _dct_along(x, a, fct, inverse), 1.0
+    return x
 
 
 def _check_block(block: np.ndarray) -> np.ndarray:
@@ -30,12 +159,12 @@ def _check_block(block: np.ndarray) -> np.ndarray:
 
 def dct2(block: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II of one square block."""
-    return dctn(_check_block(block), type=2, norm="ortho")
+    return np.ascontiguousarray(_dctn(_check_block(block), (0, 1)))
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dct2`."""
-    return idctn(_check_block(coeffs), type=2, norm="ortho")
+    return np.ascontiguousarray(_dctn(_check_block(coeffs), (0, 1), inverse=True))
 
 
 def band_mask(block_size: int, band: str) -> np.ndarray:
@@ -60,32 +189,68 @@ def band_mask(block_size: int, band: str) -> np.ndarray:
     return np.ones((block_size, block_size), dtype=bool)
 
 
+def _pad_to_blocks(data: np.ndarray, block: int) -> np.ndarray:
+    h, w = data.shape[-2:]
+    return np.pad(data, [(0, 0)] * (data.ndim - 2) + [(0, -h % block), (0, -w % block)], mode="reflect")
+
+
 def blockwise_dct(data: np.ndarray, block: int, op) -> np.ndarray:
     """Reflect-pad the last two axes to a ``block`` multiple, take the orthonormal
     DCT-II of every block, apply ``op`` to the ``(..., rows, cols, block, block)``
-    coefficients, invert and crop back.
+    coefficients (it may work in place and return its argument), invert and
+    crop back.
+
+    The transforms are :func:`_dctn`'s, pass by pass: all but the first
+    inverse pass write over the padded copy, and one complex scratch serves
+    all four.
     """
     h, w = data.shape[-2:]
-    padded = np.pad(data, [(0, 0)] * (data.ndim - 2) + [(0, -h % block), (0, -w % block)], mode="reflect")
-    hb, wb = padded.shape[-2] // block, padded.shape[-1] // block
-    blocks = padded.reshape(*padded.shape[:-2], hb, block, wb, block).swapaxes(-3, -2)
-    coeffs = op(dctn(blocks, type=2, norm="ortho", axes=(-2, -1)))
-    recon = idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
-    return recon.swapaxes(-3, -2).reshape(padded.shape)[..., :h, :w]
+    padded = _pad_to_blocks(data, block)
+    blocks = padded.reshape(*padded.shape[:-2], padded.shape[-2] // block, block, padded.shape[-1] // block, block)
+    work = np.empty(padded.size // block * (block // 2 + 1), np.complex128)
+    fct = _ortho((block, block))
+    coeffs = _dct_along(_dct_along(blocks, -3, fct, False, padded, work), -1, 1.0, False, padded, work)
+    coeffs = op(coeffs.swapaxes(-3, -2)).swapaxes(-3, -2)
+    recon = _dct_along(_dct_along(coeffs, -3, fct, True, None, work), -1, 1.0, True, padded, work)
+    return recon.reshape(padded.shape)[..., :h, :w]
+
+
+@functools.lru_cache(maxsize=None)
+def _band_projector(block: int, band: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, B) orthonormal DCT matrix, the 1-D transform of the identity, and
+    the band's mask as (B, 1, B) floats; both read-only."""
+    basis = np.ascontiguousarray(_dct_along(np.eye(block), 0, _ortho((block,)), False))
+    mask = band_mask(block, band).astype(np.float64)[:, None, :]
+    basis.setflags(write=False)
+    mask.setflags(write=False)
+    return basis, mask
 
 
 def band_reconstruct(channel: np.ndarray, block_size: int, band: str) -> np.ndarray:
-    """Blockwise DCT -> band mask -> inverse DCT of one 2-D channel (pre-clamp)."""
+    """Blockwise DCT -> band mask -> inverse DCT of one 2-D channel (pre-clamp).
+
+    With C the DCT matrix, each block X becomes C^T ((C X C^T) * mask) C: two
+    gemms per axis over the padded channel, block rows as a batch and block
+    columns as one long matrix. Equal to the transform route within rounding.
+    """
     channel = np.asarray(channel, dtype=np.float64)
     if channel.ndim != 2:
         raise PipelineError("bad-block", f"expected 2-D channel, got {channel.shape}")
-    mask = band_mask(block_size, band)
-    return blockwise_dct(channel, block_size, lambda coeffs: coeffs * mask)
+    basis, mask = _band_projector(block_size, band)
+    h, w = channel.shape
+    padded = _pad_to_blocks(channel, block_size)
+    by_rows = (padded.shape[0] // block_size, block_size, padded.shape[1])
+    by_cols = (-1, block_size)
+    a = np.matmul(basis, padded.reshape(by_rows))
+    b = np.matmul(a.reshape(by_cols), basis.T)
+    b.reshape(by_rows[0], block_size, -1, block_size)[...] *= mask
+    np.matmul(b.reshape(by_cols), basis, out=a.reshape(by_cols))
+    np.matmul(basis.T, a, out=b.reshape(by_rows))
+    return b.reshape(padded.shape)[:h, :w]
 
 
 def frequency_features(f: Frame, out: "np.ndarray | None" = None) -> FeatureStack:
-    """12 channels: (32, low), (16, mid), (8, high), (4, full) per RGB channel,
-    one transform of all three channels per block size.
+    """12 channels: (32, low), (16, mid), (8, high), (4, full) per RGB channel.
 
     Reconstructions are clamped to [-1, 2] (band filtering can overshoot the
     input range) and mapped affinely onto [0, 1]. Written into ``out``
@@ -93,5 +258,6 @@ def frequency_features(f: Frame, out: "np.ndarray | None" = None) -> FeatureStac
     """
     out = np.empty((len(FREQUENCY_LABELS), f.height, f.width)) if out is None else out
     for i, (b, band) in enumerate(BAND_SPECS):
-        out[3 * i : 3 * i + 3] = blockwise_dct(f.data, b, lambda c, m=band_mask(b, band): c * m)
+        for c, channel in enumerate(f.data):
+            out[3 * i + c] = band_reconstruct(channel, b, band)
     return FeatureStack(affine_map_to_unit(out, CLAMP_LO, CLAMP_HI, out=out), FREQUENCY_LABELS)

@@ -3,14 +3,19 @@
 Every perturbation maps (frame, mask) to (frame, mask). Only ``flip`` touches
 the mask; the rest are photometric. ``gaussian`` is the only seeded kind, so
 everything else is a pure function of its inputs.
+
+The filters are numpy versions of the scipy calls the kinds were defined
+with, bit for bit: blur and detail sum as ``ndimage.correlate1d`` does,
+median selects as ``ndimage.median_filter`` does (both ``mode="mirror"``),
+and compression runs :mod:`.frequency`'s port of pocketfft's DCT.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .core import Frame
 from .errors import PipelineError
@@ -103,15 +108,57 @@ def gaussian_taps(sigma: float, ksize: int) -> np.ndarray:
     return taps / taps.sum()
 
 
+def _correlate_symmetric(data: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``data`` along ``axis`` with symmetric odd ``taps`` (radius r),
+    reflect-padded, summed as ``scipy.ndimage.correlate1d`` sums a symmetric
+    filter: x[c] * w[r], then + (x[c - j] + x[c + j]) * w[r - j] for j = r .. 1.
+
+    The padded array is read flat, so a shift along ``axis`` is one contiguous
+    slice; positions that straddle two lines are computed and dropped.
+    """
+    r, n = len(taps) // 2, data.shape[axis]
+    padded = np.pad(data, [(r, r) if a == axis else (0, 0) for a in range(data.ndim)], mode="reflect").reshape(-1)
+    step = math.prod(data.shape[axis + 1 :])  # flat distance between neighbours along the axis
+    span = padded.size - 2 * r * step
+    full = np.empty(padded.size)
+    out = full[r * step : r * step + span]
+    np.multiply(padded[r * step : r * step + span], taps[r], out=out)
+    pair = np.empty(span)
+    for j in range(r, 0, -1):
+        np.add(padded[(r - j) * step : (r - j) * step + span], padded[(r + j) * step : (r + j) * step + span], out=pair)
+        pair *= taps[r - j]
+        out += pair
+    shape = data.shape[:axis] + (n + 2 * r,) + data.shape[axis + 1 :]
+    return full.reshape(shape)[(slice(None),) * axis + (slice(r, r + n),)]
+
+
 def gaussian_blur(data: np.ndarray, sigma: float, ksize: int) -> np.ndarray:
-    """Separable Gaussian blur of (C, H, W) data with reflect padding."""
+    """Separable Gaussian blur of (C, H, W) data with reflect padding, rows first."""
     taps = gaussian_taps(sigma, ksize)
-    rows = ndimage.correlate1d(data, taps, axis=1, mode="mirror")
-    return ndimage.correlate1d(rows, taps, axis=2, mode="mirror")
+    return _correlate_symmetric(_correlate_symmetric(data, taps, 1), taps, 2)
+
+
+MEDIAN_BAND_BYTES = 1 << 20  # the median's window buffer
 
 
 def _median_filter(data: np.ndarray, window: int) -> np.ndarray:
-    return ndimage.median_filter(data, size=(1, window, window), mode="mirror")
+    """Median of every reflect-padded ``window`` x ``window`` neighbourhood of
+    each (C, H, W) channel: a selection, so ``scipy.ndimage.median_filter``'s
+    values exactly. Windows are copied a band of rows at a time into one
+    buffer of at most MEDIAN_BAND_BYTES (or one row), partitioned in place."""
+    r, (c, h, w), taps = window // 2, data.shape, window * window
+    padded = np.pad(data, ((0, 0), (r, r), (r, r)), mode="reflect")
+    out = np.empty(data.shape)
+    rows = max(1, min(h, MEDIAN_BAND_BYTES // (w * taps * 8)))
+    band = np.empty((rows, w, taps))
+    for ch in range(c):
+        for y in range(0, h, rows):
+            n = min(rows, h - y)
+            windows = np.lib.stride_tricks.sliding_window_view(padded[ch, y : y + n + 2 * r], (window, window))
+            band[:n].reshape(n, w, window, window)[...] = windows
+            band[:n].partition(taps // 2, axis=-1)
+            out[ch, y : y + n] = band[:n, :, taps // 2]
+    return out
 
 
 def quantize_like_jpeg(data: np.ndarray, quality: float) -> np.ndarray:
@@ -124,7 +171,14 @@ def quantize_like_jpeg(data: np.ndarray, quality: float) -> np.ndarray:
     q = float(quality)
     s = (5000.0 / q if q < 50.0 else 200.0 - 2.0 * q) / 100.0
     table = np.maximum(JPEG_LUMA_TABLE * s, 1.0)
-    recon = blockwise_dct(data * 255.0, 8, lambda coeffs: np.rint(coeffs / table) * table)
+
+    def quantize(coeffs):  # in place: blockwise_dct hands over its own buffer
+        coeffs /= table
+        np.rint(coeffs, out=coeffs)
+        coeffs *= table
+        return coeffs
+
+    recon = blockwise_dct(data * 255.0, 8, quantize)
     return np.clip(recon / 255.0, 0.0, 1.0)
 
 

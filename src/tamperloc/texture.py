@@ -8,6 +8,9 @@ Kernels follow the classic even/odd pair
 with the rotated coordinates x' = x cos(theta) + y sin(theta) and
 y' = -x sin(theta) + y cos(theta). ``x`` is the column offset from the kernel
 centre and ``y`` the row offset (rows grow downward).
+
+The bank is applied with numpy's FFTs, which run the pocketfft passes of
+``scipy.fft``; the inverse reproduces ``scipy.fft.irfft2`` bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .core import Frame, FeatureStack, Kernel2D, affine_map_to_unit, luminance
 from .errors import PipelineError
@@ -85,6 +87,34 @@ TEXTURE_LABELS = tuple(_bank_label(p, ph) for p, ph in gabor_bank())
 BANK_SIDE = max(p.ksize for p, _ in gabor_bank())
 
 
+@functools.lru_cache(maxsize=None)
+def fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= ``n``: scipy's ``next_fast_len(n, real=True)``."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def irfft2(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``scipy.fft.irfft2(spectrum, shape)`` with the same bytes, consuming
+    ``spectrum`` (complex, C-contiguous).
+
+    pocketfft's 2-D c2r runs an unscaled complex pass over the rows, then the
+    real pass over the columns, and applies 1/(rows * cols), rounded from long
+    double, last. The complex pass runs in place, so beside ``spectrum`` only
+    the real output is held.
+    """
+    np.fft.ifft(spectrum, axis=-2, norm="forward", out=spectrum)
+    out = np.fft.irfft(spectrum, n=shape[1], axis=-1, norm="forward")
+    out *= float(1 / np.longdouble(shape[0] * shape[1]))
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def _bank_spectrum(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The bank's spectrum at the FFT size ``shape``
@@ -99,7 +129,7 @@ def _bank_spectrum(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     for i, k in enumerate(kernels):
         o = r - k.shape[0] // 2
         bank[i, o : BANK_SIDE - o, o : BANK_SIDE - o] = k[::-1, ::-1]
-    spectrum = rfft2(bank, shape)
+    spectrum = np.fft.rfft2(bank, shape)
     bounds = np.array([np.abs(k).sum() for k in kernels])
     spectrum.setflags(write=False)
     bounds.setflags(write=False)
@@ -112,8 +142,8 @@ def extract_texture(f: Frame, out: "np.ndarray | None" = None) -> FeatureStack:
     Each response is normalised to [0, 1] by clamping to +-sum(|taps|) (the
     largest magnitude any unit-range input can produce) and mapping affinely.
     Each FFT axis of the reflect-padded frame (side + 24) is zero-padded to
-    the next fast length; the extra zeros only push wrap-around further from
-    the cropped region, so the result is exact up to rounding. The bank's
+    the next 5-smooth length; the extra zeros only push wrap-around further
+    from the cropped region, so the result is exact up to rounding. The bank's
     spectrum is cached per FFT size. The product and inverse FFT run one
     orientation (4 kernels) at a time, clamped straight into ``out``
     ((16, H, W); a new array when None).
@@ -124,9 +154,9 @@ def extract_texture(f: Frame, out: "np.ndarray | None" = None) -> FeatureStack:
     out = np.empty((len(TEXTURE_LABELS), h, w)) if out is None else out
     r = BANK_SIDE // 2
     padded = np.pad(luminance(f).data[0], r, mode="reflect")
-    size = tuple(next_fast_len(side, real=True) for side in padded.shape)
+    size = tuple(fast_len(side) for side in padded.shape)
     bank_spectrum, bounds = _bank_spectrum(size)
-    spectrum, bounds = rfft2(padded, size), bounds[:, None, None]
+    spectrum, bounds = np.fft.rfft2(padded, size), bounds[:, None, None]
     group = len(BANK_SCALES) * len(PHASES)  # one orientation's kernels, consecutive in the bank
     for g in range(0, len(out), group):
         resp = irfft2(spectrum * bank_spectrum[g : g + group], size)[:, 2 * r : 2 * r + h, 2 * r : 2 * r + w]

@@ -355,3 +355,14 @@ def test_entry_exits_with_cli_code(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         entry()
     assert exc.value.code == EXIT_OK
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test dependency only: the package's filters, FFTs and DCTs
+    # are numpy, so a CLI process never pays for scipy's import
+    src = str(Path(tamperloc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, tamperloc.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

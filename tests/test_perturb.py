@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -8,6 +10,7 @@ from tamperloc.perturb import (
     BLUR_KSIZE,
     JPEG_LUMA_TABLE,
     KINDS,
+    MEDIAN_BAND_BYTES,
     PerturbSpec,
     gaussian_blur,
     gaussian_taps,
@@ -254,3 +257,22 @@ class TestGaussianKernels:
         data = default_rng(13).uniform(0.0, 1.0, (3, 16, 16))
         blurred = gaussian_blur(data, 1.5, BLUR_KSIZE)
         assert blurred.var() < data.var()
+
+
+class TestMedianMemory:
+    def test_median_holds_one_band_of_windows(self):
+        # window 15 on a 64 px frame: a whole-frame copy of every window would
+        # be 3 * 64 * 64 * 225 * 8 bytes (22 MB); the filter copies a band of
+        # rows at a time into one buffer of at most MEDIAN_BAND_BYTES, beside
+        # the padded frame and the output, and perturb_pair adds the clamped copy
+        f, mask = fixture_pair(9, 64, 64)
+        window = 15
+        perturb_pair(f, mask, PerturbSpec("median", float(window)))
+        padded = 3 * (64 + window - 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            perturb_pair(f, mask, PerturbSpec("median", float(window)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < MEDIAN_BAND_BYTES + padded + 2 * f.data.nbytes + (64 << 10)
