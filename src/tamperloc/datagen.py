@@ -261,8 +261,9 @@ class SpliceSpec:
                 raise PipelineError("bad-quality", f"quality {quality} outside [1, 100]")
 
 
-def _source_frame(kind: str, seed: int, sigma: float, quality: float, size: int) -> np.ndarray:
-    """Texture -> additive noise -> block-quantisation, the per-source history.
+def _source_frame(kind: str, seed: int, sigma: float, quality: float, size: int, window=(slice(None),) * 2) -> np.ndarray:
+    """Texture -> additive noise -> block-quantisation, the per-source history,
+    compressed over ``window`` (rows, cols) only: see :func:`_block_window`.
 
     The noise stream is keyed by the texture seed alone so identical sources
     stay bit-identical regardless of whether they act as host or donor.
@@ -271,19 +272,39 @@ def _source_frame(kind: str, seed: int, sigma: float, quality: float, size: int)
     if sigma > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence([401, int(seed)]))
         data = np.clip(data + rng.normal(0.0, sigma, size=data.shape), 0.0, 1.0)
-    return quantize_like_jpeg(data, quality)
+    return quantize_like_jpeg(data[(slice(None),) + tuple(window)], quality)
+
+
+def _block_window(mask: np.ndarray, block: int = 8) -> tuple[slice, slice]:
+    """Rows and columns of the whole compression blocks that cover the mask.
+
+    Blocks are compressed one by one, so a source compressed over this window
+    has the bytes of the whole compressed source there. A window that ends
+    in the frame's partial last block also takes the block before it, whose
+    rows (or columns) that block's reflect padding copies.
+    """
+    def span(hit):
+        idx, n = np.flatnonzero(hit), len(hit)
+        lo, hi = idx[0] // block * block, min(n, (idx[-1] // block + 1) * block)
+        return slice(min(lo, n - n % block - block) if hi == n and n % block else lo, hi)
+
+    inside = mask > 0.5
+    return span(inside.any(axis=1)), span(inside.any(axis=0))
 
 
 def splice(spec: SpliceSpec, size: int) -> tuple[Frame, np.ndarray]:
     """Copy donor pixels into the host inside the region, hard boundary.
 
     Outside the region the frame equals the processed host bit-exactly; the
-    mask is exactly the rasterised region.
+    mask is exactly the rasterised region. The donor is compressed only over
+    the blocks that cover the region.
     """
     mask = rasterize(spec.region, size, size)
-    host = _source_frame(spec.host_kind, spec.host_seed, spec.host_sigma, spec.host_quality, size)
-    donor = _source_frame(spec.donor_kind, spec.donor_seed, spec.donor_sigma, spec.donor_quality, size)
-    frame = np.where(mask[None] > 0.5, donor, host)
+    window = _block_window(mask)
+    frame = _source_frame(spec.host_kind, spec.host_seed, spec.host_sigma, spec.host_quality, size)
+    donor = _source_frame(spec.donor_kind, spec.donor_seed, spec.donor_sigma, spec.donor_quality, size, window)
+    inside = frame[(slice(None),) + window]
+    inside[...] = np.where(mask[window][None] > 0.5, donor, inside)
     return Frame(frame), mask
 
 

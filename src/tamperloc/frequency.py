@@ -32,44 +32,34 @@ _SQRT2 = math.sqrt(2.0)
 
 
 @functools.lru_cache(maxsize=None)
-def _twiddles(n: int) -> np.ndarray:
-    """cos(2 pi (i + 1) / 4n) for i < n, rounded as pocketfft's ``sincos_2pibyn(4n)``:
-    each angle splits into a table entry for its low and its high bits, and
-    the cosine is the real part of their product."""
+def _twiddles(n: int, scale: float, ndim: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The length-``n`` DCT's twiddles tw[i] = cos(2 pi (i + 1) / 4n) times
+    ``scale``: tw[k - 1] and tw[n - k - 1] for 0 < k < (n + 1) // 2, shaped to
+    scale the rows of an ``ndim`` array, and 2 tw[n // 2 - 1].
+
+    Each cosine is rounded as pocketfft's ``sincos_2pibyn(4n)`` rounds it: the
+    real part of the product of two table entries, one for the low and one
+    for the high bits of the angle's index, each from cos/sin by octant.
+    """
     m = 4 * n
     ang = float(np.longdouble(0.25) * np.longdouble("3.141592653589793238462643383279502884197") / m)
     shift = 1
     while 4**shift < (m + 2) // 2:
         shift += 1
 
-    def entry(x):  # exp(2 pi i x / m) for 0 <= x <= n, by octant
-        if x == 0:
-            return 1.0, 0.0
-        x <<= 3
+    def entry(x):  # exp(2 pi i x / m) for 0 <= x <= n
+        x *= 8
         if x < m:
             return math.cos(x * ang), math.sin(x * ang)
         if x < 2 * m:
             return math.sin((2 * m - x) * ang), math.cos((2 * m - x) * ang)
-        x -= 2 * m
-        if x < m:
-            return -math.sin(x * ang), math.cos(x * ang)
-        return -math.cos((2 * m - x) * ang), math.sin((2 * m - x) * ang)
+        return -0.0, 1.0  # x == n: a quarter turn
 
-    low_bits = (1 << shift) - 1
-    out = []
+    tw = []
     for i in range(1, n + 1):
-        (ar, ai), (br, bi) = entry(i & low_bits), entry(i >> shift << shift)
-        out.append(ar * br - ai * bi)
-    return np.array(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _twiddle_plan(n: int, scale: float, ndim: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """tw[k - 1] and tw[n - k - 1] for 0 < k < (n + 1) // 2, shaped to scale the
-    rows of an ``ndim`` array, and 2 tw[n // 2 - 1] for its middle row, all
-    times ``scale``."""
-    tw = _twiddles(n) * scale
-    ns2, lanes = (n + 1) // 2, (1,) * (ndim - 1)
+        (ar, ai), (br, bi) = entry(i & ((1 << shift) - 1)), entry(i >> shift << shift)
+        tw.append(ar * br - ai * bi)
+    tw, ns2, lanes = np.array(tw) * scale, (n + 1) // 2, (1,) * (ndim - 1)
     return tw[: ns2 - 1].reshape((-1,) + lanes), tw[n - 2 : n - ns2 - 1 : -1].reshape((-1,) + lanes), 2.0 * tw[ns2 - 1]
 
 
@@ -77,10 +67,10 @@ def _dct_along(x: np.ndarray, axis: int, fct: float, inverse: bool, out=None, wo
     """pocketfft's ortho DCT-II (DCT-III when ``inverse``) of ``x`` along ``axis``,
     with its FFT output scaled by ``fct``.
 
-    The result is a view of ``out`` (a contiguous array of ``x.size`` floats,
-    which a forward pass may share with ``x``) holding the transform axis
-    first; ``work`` is complex scratch of ``(n // 2 + 1) * x.size / n``
-    entries. Either is allocated when None. Each step is one numpy call over
+    The result has ``x``'s shape and is a view of ``out``, a contiguous array
+    of ``x.size`` floats that a forward pass may share with ``x``, laid out
+    transform axis first; ``work`` is complex scratch of
+    ``(n // 2 + 1) * x.size / n`` entries. Either is allocated when None. Each step is one numpy call over
     every lane. A power-of-two ``fct`` and the forward pass's 1/2 are folded
     into the twiddles, which scales each product exactly.
     """
@@ -90,14 +80,15 @@ def _dct_along(x: np.ndarray, axis: int, fct: float, inverse: bool, out=None, wo
     z = np.empty((n // 2 + 1,) + lanes, np.complex128) if work is None else work.reshape((n // 2 + 1,) + lanes)
     t1, t2 = z.reshape(-1).view(np.float64)[: 2 * (ns2 - 1) * r[0].size].reshape((2, ns2 - 1) + lanes)
     fold = fct if math.frexp(fct)[0] == 0.5 else 1.0
-    a, b, mid = _twiddle_plan(n, fold if inverse else 0.5 * fold, c.ndim)
+    a, b, mid = _twiddles(n, fold if inverse else 0.5 * fold, c.ndim)
     lo, hi = r[1:ns2], r[n - 1 : n - ns2 : -1]  # r[k], r[n - k] for 0 < k < ns2
+    re, im = z.real, z.imag
     if not inverse:  # 2 c[0], (c[k] + c[k+1], c[k+1] - c[k]) for odd k, 2 c[n-1] as a half-complex spectrum
-        np.multiply(c[0], 2.0, out=z.real[0])
-        np.add(c[1 : n - 1 : 2], c[2:n:2], out=z.real[1 : half + 1])
-        np.subtract(c[2:n:2], c[1 : n - 1 : 2], out=z.imag[1 : half + 1])
+        np.multiply(c[0], 2.0, out=re[0])
+        np.add(c[1 : n - 1 : 2], c[2:n:2], out=re[1 : half + 1])
+        np.subtract(c[2:n:2], c[1 : n - 1 : 2], out=im[1 : half + 1])
         if n % 2 == 0:
-            np.multiply(c[n - 1], 2.0, out=z.real[n // 2])
+            np.multiply(c[n - 1], 2.0, out=re[n // 2])
         np.fft.irfft(z, n=n, axis=0, norm="forward", out=r)
         if fold != fct:
             r *= fct
@@ -125,13 +116,13 @@ def _dct_along(x: np.ndarray, axis: int, fct: float, inverse: bool, out=None, wo
     hi -= t2
     np.fft.rfft(r, axis=0, out=z)
     if fold != fct:
-        z.real *= fct
-        z.imag *= fct
-    r[0] = z.real[0]  # unpack and undo the pairing: r[k], r[k+1] = re - im, im + re for odd k
-    np.subtract(z.real[1 : half + 1], z.imag[1 : half + 1], out=r[1 : n - 1 : 2])
-    np.add(z.imag[1 : half + 1], z.real[1 : half + 1], out=r[2:n:2])
+        re *= fct
+        im *= fct
+    r[0] = re[0]  # unpack and undo the pairing: r[k], r[k+1] = re - im, im + re for odd k
+    np.subtract(re[1 : half + 1], im[1 : half + 1], out=r[1 : n - 1 : 2])
+    np.add(im[1 : half + 1], re[1 : half + 1], out=r[2:n:2])
     if n % 2 == 0:
-        r[n - 1] = z.real[n // 2]
+        r[n - 1] = re[n // 2]
     return r.swapaxes(0, axis)
 
 
@@ -190,7 +181,10 @@ def band_mask(block_size: int, band: str) -> np.ndarray:
 
 
 def _pad_to_blocks(data: np.ndarray, block: int) -> np.ndarray:
+    """A new array of ``data`` reflect-padded at the bottom and right to ``block`` multiples."""
     h, w = data.shape[-2:]
+    if h % block == 0 and w % block == 0:
+        return np.array(data, dtype=np.float64)  # np.pad's bookkeeping costs more than the copy
     return np.pad(data, [(0, 0)] * (data.ndim - 2) + [(0, -h % block), (0, -w % block)], mode="reflect")
 
 

@@ -213,6 +213,28 @@ class TestSplice:
             assert total / count > 0.02
 
 
+class TestSpliceWindow:
+    # splice compresses the donor only over the 8x8 blocks that cover the
+    # region; the frame must equal the one made from the whole compressed
+    # donor, also where the window ends in a partial last block, whose
+    # reflect padding copies rows and columns of the block before it
+    @pytest.mark.parametrize("size,region", [
+        (64, Region("rectangle", (20, 22, 18, 16))),
+        (37, Region("rectangle", (27, 25, 9, 11))),
+        (42, Region("rectangle", (40, 2, 1, 38))),  # rows only in the partial last block
+        (44, Region("rectangle", (2, 40, 40, 3))),  # columns only in the partial last block
+        (60, Region("ellipse", (57, 30, 1.5, 16))),
+        (61, Region("polygon", ((40, 30), (59, 59), (59, 20)))),
+    ])
+    def test_frame_equals_the_whole_donor_spliced(self, size, region):
+        spec = SpliceSpec("value_noise", 5, "grating", 6, region, host_sigma=0.01, donor_sigma=0.02,
+                          host_quality=90, donor_quality=60)
+        frame, mask = splice(spec, size)
+        host = datagen_mod._source_frame(spec.host_kind, spec.host_seed, spec.host_sigma, spec.host_quality, size)
+        donor = datagen_mod._source_frame(spec.donor_kind, spec.donor_seed, spec.donor_sigma, spec.donor_quality, size)
+        assert frame.data.tobytes() == np.where(mask[None] > 0.5, donor, host).tobytes()
+
+
 class TestSimulateInpaint:
     def test_outside_region_unchanged(self):
         host = make_texture("checker", 2, 64)
