@@ -7,6 +7,8 @@ Synthetic corpus generation, perturbation robustness transforms, pixel-level
 metrics, bit-exact file formats and a CLI round out the pipeline.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import FeatureStack, Frame, Kernel2D, luminance
 from .datagen import (
     DatasetManifest,
@@ -59,69 +61,5 @@ from .train import Adam, TrainConfig, train
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adam",
-    "ArchConfig",
-    "ConfusionCounts",
-    "DatasetManifest",
-    "FEATURE_VIEWS",
-    "FeatureStack",
-    "Frame",
-    "GaborParams",
-    "INPUT_CHANNELS",
-    "Kernel2D",
-    "MetricsReport",
-    "ParamStore",
-    "PerturbSpec",
-    "PipelineError",
-    "Region",
-    "SpliceSpec",
-    "TrainConfig",
-    "VARIANTS",
-    "band_mask",
-    "band_reconstruct",
-    "bce_loss",
-    "binarize",
-    "build_feature_stack",
-    "confusion_counts",
-    "dct2",
-    "edge_features",
-    "evaluate",
-    "extract_texture",
-    "f1_score",
-    "finite_difference_check",
-    "forward",
-    "frequency_features",
-    "gabor_bank",
-    "gabor_kernel",
-    "idct2",
-    "init_network",
-    "load_manifest",
-    "load_model",
-    "load_split",
-    "luminance",
-    "make_dataset",
-    "make_texture",
-    "micro_arch",
-    "miou",
-    "parse_spec",
-    "perturb_pair",
-    "perturb_suite",
-    "predict",
-    "rasterize",
-    "read_pgm",
-    "read_ppm",
-    "read_report",
-    "read_tensorfile",
-    "sample_region",
-    "sample_splice_spec",
-    "save_model",
-    "simulate_inpaint",
-    "splice",
-    "srm_features",
-    "train",
-    "write_pgm",
-    "write_ppm",
-    "write_report",
-    "write_tensorfile",
-]
+# every public name above that is not a submodule
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType))

@@ -30,8 +30,14 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601 luma coefficients
 RGB_LABELS = ("rgb_R", "rgb_G", "rgb_B")
 
 
-def _as_float64(a) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+def _as_float64(a, code: str) -> np.ndarray:
+    try:
+        data = np.asarray(a)
+        if data.dtype.kind not in "cSU":  # a cast would drop imaginary parts and parse text
+            return np.ascontiguousarray(data, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged nesting, or objects that are not numbers
+        pass
+    raise PipelineError(code, f"expected an array of real numbers, got {type(a).__name__}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,7 @@ class Frame:
     data: np.ndarray
 
     def __post_init__(self):
-        data = _as_float64(self.data)
+        data = _as_float64(self.data, "bad-frame")
         if data.ndim != 3 or data.shape[0] != 3:
             raise PipelineError("bad-frame", f"expected (3, H, W), got {data.shape}")
         if data.shape[1] < MIN_FRAME_SIDE or data.shape[2] < MIN_FRAME_SIDE:
@@ -69,7 +75,7 @@ class FeatureStack:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        data = _as_float64(self.data)
+        data = _as_float64(self.data, "bad-stack")
         labels = tuple(self.labels)
         if data.ndim != 3:
             raise PipelineError("bad-stack", f"expected (C, H, W), got {data.shape}")
@@ -98,11 +104,13 @@ class Kernel2D:
     taps: np.ndarray
 
     def __post_init__(self):
-        taps = _as_float64(self.taps)
+        taps = _as_float64(self.taps, "bad-kernel")
         if taps.ndim != 2 or taps.shape[0] != taps.shape[1]:
             raise PipelineError("bad-kernel", f"taps must be square, got {taps.shape}")
         if taps.shape[0] < 3 or taps.shape[0] % 2 == 0:
             raise PipelineError("bad-kernel", f"size must be odd and >= 3, got {taps.shape[0]}")
+        if not np.isfinite(taps).all():
+            raise PipelineError("bad-kernel", "non-finite tap")
         object.__setattr__(self, "taps", taps)
 
     @property

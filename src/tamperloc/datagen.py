@@ -115,10 +115,9 @@ def make_texture(kind: str, seed: int, size: int) -> Frame:
     """Deterministic procedural RGB texture, ``size`` x ``size``, in [0, 1]."""
     if kind not in _TEXTURE_FIELDS:
         raise PipelineError("bad-kind", f"unknown texture {kind!r}, expected one of {TEXTURE_KINDS}")
-    if size < MIN_TEXTURE_SIZE:
-        raise PipelineError("bad-size", f"textures need size >= {MIN_TEXTURE_SIZE}, got {size}")
+    size = check_int(size, "bad-size", "texture size", MIN_TEXTURE_SIZE)
     rng = np.random.default_rng(np.random.SeedSequence([101, check_seed(seed)]))
-    field = _TEXTURE_FIELDS[kind](rng, int(size))
+    field = _TEXTURE_FIELDS[kind](rng, size)
     return Frame(_colorize(field, rng))
 
 
@@ -127,10 +126,11 @@ def make_texture(kind: str, seed: int, size: int) -> Frame:
 
 @dataclass(frozen=True)
 class Region:
-    """Mask geometry in pixel units.
+    """Mask geometry in pixel units, every value a finite real number.
 
-    ``geometry`` by shape: ellipse (cy, cx, ry, rx); rectangle (top, left,
-    height, width); polygon ((y, x), ...) with at least three vertices.
+    ``geometry`` by shape: ellipse (cy, cx, ry, rx) with positive radii;
+    rectangle (top, left, height, width), all integers; polygon ((y, x), ...)
+    with at least three vertices.
     """
 
     shape: str
@@ -139,23 +139,39 @@ class Region:
     def __post_init__(self):
         if self.shape not in REGION_SHAPES:
             raise PipelineError("bad-region", f"unknown shape {self.shape!r}")
-        geometry = tuple(tuple(p) for p in self.geometry) if self.shape == "polygon" else tuple(self.geometry)
-        if self.shape == "polygon":
+        polygon = self.shape == "polygon"
+        try:
+            geometry = tuple(tuple(p) for p in self.geometry) if polygon else tuple(self.geometry)
+        except TypeError:  # not a sequence, or a vertex that is not one
+            geometry = ()
+        if polygon:
             if len(geometry) < 3 or any(len(p) != 2 for p in geometry):
                 raise PipelineError("bad-region", "polygon needs >= 3 (y, x) vertices")
+            geometry = tuple((_coordinate(y), _coordinate(x)) for y, x in geometry)
         elif len(geometry) != 4:
             raise PipelineError("bad-region", f"{self.shape} needs 4 geometry values, got {len(geometry)}")
+        elif self.shape == "rectangle":  # |value| < 2**52, so top + height is exact in float64
+            geometry = tuple(check_int(v, "bad-region", "a rectangle value", -(2**52), 2**52) for v in geometry)
+        else:
+            cy, cx, ry, rx = geometry
+            radii = (check_real(r, "bad-region", "an ellipse radius", 0.0, math.inf, low_open=True) for r in (ry, rx))
+            geometry = (_coordinate(cy), _coordinate(cx), *radii)
         object.__setattr__(self, "geometry", geometry)
 
 
+def _coordinate(value) -> float:
+    return check_real(value, "bad-region", "a coordinate", -math.inf, math.inf)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # finite geometry far outside the frame may overflow: outside either way
 def _rasterize(region: Region, height: int, width: int) -> np.ndarray:
     ys = np.arange(height, dtype=np.float64)[:, None]
     xs = np.arange(width, dtype=np.float64)[None, :]
     if region.shape == "ellipse":
-        cy, cx, ry, rx = (float(v) for v in region.geometry)
+        cy, cx, ry, rx = region.geometry
         return ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
     if region.shape == "rectangle":
-        top, left, h, w = (int(v) for v in region.geometry)
+        top, left, h, w = region.geometry
         return (ys >= top) & (ys < top + h) & (xs >= left) & (xs < left + w)
     # polygon: even-odd ray casting against pixel centers
     inside = np.zeros((height, width), dtype=bool)
@@ -181,6 +197,7 @@ def _mask_valid(mask: np.ndarray) -> bool:
 
 def rasterize(region: Region, height: int, width: int) -> np.ndarray:
     """Binary float mask of the region; rejects out-of-bounds or degenerate areas."""
+    height, width = (check_int(n, "bad-size", "mask side") for n in (height, width))
     mask = _rasterize(region, height, width)
     if not _mask_valid(mask):
         raise PipelineError(
@@ -193,6 +210,7 @@ def rasterize(region: Region, height: int, width: int) -> np.ndarray:
 
 def sample_region(rng: np.random.Generator, height: int, width: int) -> Region:
     """Draw a random valid region; shape uniform over ellipse/rectangle/polygon."""
+    height, width = (check_int(n, "bad-size", "frame side") for n in (height, width))
     for _ in range(64):
         shape = REGION_SHAPES[rng.integers(len(REGION_SHAPES))]
         frac = rng.uniform(*AREA_FRACTION_RANGE)
@@ -250,15 +268,15 @@ class SpliceSpec:
     donor_quality: int = 100
 
     def __post_init__(self):
-        for kind in (self.host_kind, self.donor_kind):
+        if not isinstance(self.region, Region):
+            raise PipelineError("bad-region", f"expected a Region, got {type(self.region).__name__}")
+        for side in ("host", "donor"):
+            kind, seed, sigma, quality = (getattr(self, f"{side}_{n}") for n in ("kind", "seed", "sigma", "quality"))
             if kind not in TEXTURE_KINDS:
                 raise PipelineError("bad-kind", f"unknown texture {kind!r}")
-        for sigma in (self.host_sigma, self.donor_sigma):
-            if not (0.0 <= sigma <= 0.25):
-                raise PipelineError("bad-sigma", f"noise sigma {sigma} outside [0, 0.25]")
-        for quality in (self.host_quality, self.donor_quality):
-            if not (1 <= quality <= 100):
-                raise PipelineError("bad-quality", f"quality {quality} outside [1, 100]")
+            object.__setattr__(self, f"{side}_seed", check_seed(seed))
+            object.__setattr__(self, f"{side}_sigma", check_real(sigma, "bad-sigma", f"{side} noise sigma", 0.0, 0.25))
+            object.__setattr__(self, f"{side}_quality", check_int(quality, "bad-quality", f"{side} quality", 1, 101))
 
 
 def _source_frame(kind: str, seed: int, sigma: float, quality: float, size: int, window=(slice(None),) * 2) -> np.ndarray:
@@ -314,9 +332,9 @@ def simulate_inpaint(f: Frame, region: Region, seed: int) -> tuple[Frame, np.nda
     Strong Gaussian blur plus faint seeded noise mimics the statistics of
     generatively filled areas: detail is gone but the fill is not flat.
     """
+    rng = np.random.default_rng(np.random.SeedSequence([501, check_seed(seed)]))
     mask = rasterize(region, f.height, f.width)
     blurred = gaussian_blur(f.data, INPAINT_BLUR_SIGMA, INPAINT_BLUR_KSIZE)
-    rng = np.random.default_rng(np.random.SeedSequence([501, int(seed)]))
     filled = np.clip(blurred + rng.normal(0.0, INPAINT_NOISE_SIGMA, size=f.data.shape), 0.0, 1.0)
     return Frame(np.where(mask[None] > 0.5, filled, f.data)), mask
 

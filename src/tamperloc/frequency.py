@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import Frame, FeatureStack, affine_map_to_unit
+from .core import Frame, FeatureStack, affine_map_to_unit, check_int
 from .errors import PipelineError
 
 BANDS = ("low", "mid", "high", "full")
@@ -164,8 +164,7 @@ def band_mask(block_size: int, band: str) -> np.ndarray:
     With D = 2B-2: low keeps d <= floor(D/4), mid keeps floor(D/4) < d <= floor(D/2),
     high keeps d > floor(D/2) and full keeps everything.
     """
-    if block_size < 1:
-        raise PipelineError("bad-block", f"block size must be >= 1, got {block_size}")
+    block_size = check_int(block_size, "bad-block", "block size")
     if band not in BANDS:
         raise PipelineError("bad-band", f"band must be one of {BANDS}, got {band!r}")
     u, v = np.mgrid[0:block_size, 0:block_size]
@@ -230,6 +229,7 @@ def band_reconstruct(channel: np.ndarray, block_size: int, band: str) -> np.ndar
     channel = np.asarray(channel, dtype=np.float64)
     if channel.ndim != 2:
         raise PipelineError("bad-block", f"expected 2-D channel, got {channel.shape}")
+    block_size = check_int(block_size, "bad-block", "block size")
     basis, mask = _band_projector(block_size, band)
     h, w = channel.shape
     padded = _pad_to_blocks(channel, block_size)

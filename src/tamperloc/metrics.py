@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import as_sequence, check_seed, split_item
+from .core import _as_float64, as_sequence, check_seed, split_item
 from .errors import PipelineError
 from .fusion import ParamStore, check_views, predict
 from .perturb import PerturbSpec, perturb_pair
@@ -39,9 +39,9 @@ class ConfusionCounts:
 
 def binarize(pred: np.ndarray) -> np.ndarray:
     """Probabilities >= ``DEFAULT_THRESHOLD`` become tampered."""
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.min() < 0.0 or pred.max() > 1.0:
-        raise PipelineError("bad-prediction", "probabilities outside [0, 1]")
+    pred = _as_float64(pred, "bad-prediction")
+    if not (pred.size and 0.0 <= pred.min() and pred.max() <= 1.0):  # NaN fails both comparisons
+        raise PipelineError("bad-prediction", "no probabilities, or some outside [0, 1]")
     return pred >= DEFAULT_THRESHOLD
 
 

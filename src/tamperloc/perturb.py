@@ -17,19 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame
+from .core import Frame, check_real
 from .errors import PipelineError
 from .frequency import blockwise_dct
 
 KINDS = ("none", "compression", "detail", "gaussian", "blur", "median", "flip")
 
-# Default strength per kind, applied when a spec string omits the parameter.
-_DEFAULTS = {
-    "compression": 75.0,
-    "detail": 1.0,
-    "gaussian": 0.02,
-    "blur": 1.5,
-    "median": 3.0,
+# Each parameterised kind's strength: (default when a spec omits it, low, high, low end open).
+_PARAMS = {
+    "compression": (75.0, 1.0, 100.0, False),  # quality
+    "detail": (1.0, 0.0, 8.0, True),  # unsharp amount
+    "gaussian": (0.02, 0.0, 0.25, False),  # noise sigma
+    "blur": (1.5, 0.0, 6.0, True),  # sigma
+    "median": (3.0, 3.0, 15.0, False),  # window, odd
 }
 
 BLUR_KSIZE = 7  # fixed support for the blur and detail kernels
@@ -64,17 +64,11 @@ class PerturbSpec:
             if self.param is not None:
                 raise PipelineError("bad-perturb-param", f"{self.kind} takes no parameter")
             return
-        value = _DEFAULTS[self.kind] if self.param is None else float(self.param)
-        if self.kind == "compression" and not (1.0 <= value <= 100.0):
-            raise PipelineError("bad-perturb-param", f"quality must be in [1, 100], got {value}")
-        if self.kind == "detail" and not (0.0 < value <= 8.0):
-            raise PipelineError("bad-perturb-param", f"amount must be in (0, 8], got {value}")
-        if self.kind == "gaussian" and not (0.0 <= value <= 0.25):
-            raise PipelineError("bad-perturb-param", f"sigma must be in [0, 0.25], got {value}")
-        if self.kind == "blur" and not (0.0 < value <= 6.0):
-            raise PipelineError("bad-perturb-param", f"sigma must be in (0, 6], got {value}")
-        if self.kind == "median" and not (3.0 <= value <= 15.0 and value % 2 == 1.0):
-            raise PipelineError("bad-perturb-param", f"window must be odd in [3, 15], got {value}")
+        default, *bounds = _PARAMS[self.kind]
+        param = default if self.param is None else self.param
+        value = check_real(param, "bad-perturb-param", f"{self.kind} strength", *bounds)
+        if self.kind == "median" and value % 2 != 1.0:
+            raise PipelineError("bad-perturb-param", f"median window must be odd, got {value:g}")
         object.__setattr__(self, "param", value)
 
     def describe(self) -> str:
@@ -185,8 +179,9 @@ def quantize_like_jpeg(data: np.ndarray, quality: float) -> np.ndarray:
 def perturb_pair(f: Frame, mask: np.ndarray, spec: PerturbSpec, seed=0) -> tuple[Frame, np.ndarray]:
     """Apply one perturbation to a frame/mask pair.
 
-    ``seed`` feeds the noise generator for ``gaussian`` and is ignored by the
-    deterministic kinds, so results are reproducible per (inputs, spec, seed).
+    ``seed`` (an int >= 0 or a sequence of them, else ``bad-seed``) feeds the
+    noise generator for ``gaussian`` and is ignored by the deterministic
+    kinds, so results are reproducible per (inputs, spec, seed).
     """
     kind, value = spec.kind, spec.param
     if kind == "none":
@@ -199,7 +194,10 @@ def perturb_pair(f: Frame, mask: np.ndarray, spec: PerturbSpec, seed=0) -> tuple
         soft = gaussian_blur(f.data, 1.0, BLUR_KSIZE)
         return Frame(np.clip(f.data + value * (f.data - soft), 0.0, 1.0)), mask
     if kind == "gaussian":
-        rng = np.random.default_rng(seed)
+        try:
+            rng = np.random.default_rng(seed)
+        except (TypeError, ValueError):  # a fraction, a negative number, text
+            raise PipelineError("bad-seed", f"seed must be an int >= 0 or a sequence of them, got {seed!r}") from None
         noise = rng.normal(0.0, value, size=f.data.shape)
         return Frame(np.clip(f.data + noise, 0.0, 1.0)), mask
     if kind == "blur":

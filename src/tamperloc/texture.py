@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame, FeatureStack, Kernel2D, affine_map_to_unit, luminance
+from .core import Frame, FeatureStack, Kernel2D, affine_map_to_unit, check_int, check_real, luminance
 from .errors import PipelineError
 
 PHASES = ("even", "odd")
@@ -40,12 +40,15 @@ class GaborParams:
     ksize: int
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.wavelength <= 0 or self.gamma <= 0:
-            raise PipelineError("bad-gabor", "sigma, wavelength and gamma must be positive")
-        if self.ksize < 3 or self.ksize % 2 == 0:
-            raise PipelineError("bad-gabor", f"ksize must be odd and >= 3, got {self.ksize}")
-        # keep the Gaussian envelope essentially inside the support
-        if self.ksize < 2 * math.ceil(3.0 * self.sigma) + 1:
+        for name in ("sigma", "wavelength", "gamma", "phi", "theta"):
+            angle = name in ("phi", "theta")  # any finite number; the others are positive
+            value = check_real(getattr(self, name), "bad-gabor", name, -math.inf if angle else 0.0, math.inf, not angle)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "ksize", check_int(self.ksize, "bad-gabor", "ksize", 3))
+        if self.ksize % 2 == 0:
+            raise PipelineError("bad-gabor", f"ksize must be odd, got {self.ksize}")
+        # keep the Gaussian envelope essentially inside the support: ksize >= 2 ceil(3 sigma) + 1
+        if 3.0 * self.sigma > self.ksize // 2:
             raise PipelineError("bad-gabor", f"ksize {self.ksize} truncates sigma={self.sigma}")
 
 

@@ -40,7 +40,10 @@ _SHUFFLE_TAG = 101
 _AUGMENT_TAG = 202
 
 # Bytes of clean stacks (with their masks) kept cached between steps: 1 GiB
-# holds about 600 stacks of 64 px, or 38 of 256 px.
+# holds about 600 stacks of 64 px, or 38 of 256 px. The package exports the
+# function ``train`` as ``tamperloc.train``, so ``import tamperloc.train as m``
+# binds that function and ``m.STACK_CACHE_BYTES = n`` changes nothing; set it
+# on the module, ``importlib.import_module("tamperloc.train")``.
 STACK_CACHE_BYTES = 2**30
 
 

@@ -366,3 +366,26 @@ def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_round_trip_runs_without_scipy(tmp_path):
+    # the same round trip as the CI job that installs the runtime alone: any
+    # scipy import on a code path, lazy or not, fails with scipy unimportable
+    src = str(Path(tamperloc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    corpus, model = tmp_path / "corpus", tmp_path / "model.uvlt"
+    runs = [
+        ["synth", "--out", corpus, "--n", 4, "--size", 25, "--seed", 1],
+        ["train", "--data", corpus, "--out", model, "--steps", 2],
+        ["infer", "--model", model, "--in", corpus / "frame_0000.ppm", "--out", tmp_path / "mask.pgm"],
+        ["eval", "--model", model, "--data", corpus, "--json", tmp_path / "report.json"],
+    ]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from tamperloc.cli import cli_main\n"
+        f"print([cli_main(argv) for argv in {[[str(a) for a in argv] for argv in runs]!r}])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == str([EXIT_OK] * 4)
+    assert (tmp_path / "mask.pgm").exists() and (tmp_path / "report.json").exists()

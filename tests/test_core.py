@@ -1,7 +1,12 @@
+import importlib
+import math
+import types
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+import tamperloc
 from tamperloc.core import (
     Frame,
     FeatureStack,
@@ -14,6 +19,19 @@ from tamperloc.core import (
     check_seed,
     luminance,
 )
+from tamperloc.datagen import (
+    Region,
+    SpliceSpec,
+    make_texture,
+    rasterize,
+    sample_region,
+    sample_splice_spec,
+    simulate_inpaint,
+)
+from tamperloc.frequency import band_mask, band_reconstruct
+from tamperloc.metrics import binarize
+from tamperloc.perturb import PerturbSpec, perturb_pair
+from tamperloc.texture import GaborParams
 
 from oracles import conv2d_reflect, luminance_601, affine_unit
 
@@ -272,3 +290,96 @@ class TestCheckSeed:
         assert check_seed(2**48 - 1, 2**48) == 2**48 - 1
         with pytest.raises(PipelineError, match="bad-seed"):
             check_seed(2**48, 2**48)
+
+
+GABOR = dict(sigma=2.0, wavelength=4.0, gamma=0.5, phi=0.0, theta=0.0, ksize=13)
+RECTANGLE = Region("rectangle", (8, 8, 12, 12))
+SPLICE = dict(host_kind="grating", host_seed=1, donor_kind="checker", donor_seed=2, region=RECTANGLE)
+
+# Inputs that once escaped as a TypeError, a plain ValueError or a
+# RuntimeWarning, or were silently accepted or truncated, with the code each
+# one raises now.
+ESCAPES = {
+    "gabor-fractional-ksize": (lambda: GaborParams(**{**GABOR, "ksize": 13.5}), "bad-gabor"),
+    "gabor-nan-sigma": (lambda: GaborParams(**{**GABOR, "sigma": math.nan}), "bad-gabor"),
+    "gabor-string-sigma": (lambda: GaborParams(**{**GABOR, "sigma": "2"}), "bad-gabor"),
+    "gabor-infinite-theta": (lambda: GaborParams(**{**GABOR, "theta": math.inf}), "bad-gabor"),
+    "gabor-huge-sigma": (lambda: GaborParams(**{**GABOR, "sigma": 1e308}), "bad-gabor"),
+    "perturb-string": (lambda: PerturbSpec("blur", "x"), "bad-perturb-param"),
+    "perturb-list": (lambda: PerturbSpec("blur", [1.0]), "bad-perturb-param"),
+    "texture-fractional-size": (lambda: make_texture("grating", 1, 30.5), "bad-size"),
+    "texture-string-size": (lambda: make_texture("grating", 1, "32"), "bad-size"),
+    "rectangle-string": (lambda: rasterize(Region("rectangle", ("a", 1, 5, 5)), 32, 32), "bad-region"),
+    "rectangle-fractional": (lambda: Region("rectangle", (2.5, 2, 10, 10)), "bad-region"),
+    "polygon-infinite-vertex": (
+        lambda: rasterize(Region("polygon", ((2, 2), (2, 20), (math.inf, 10))), 32, 32),
+        "bad-region",
+    ),
+    "ellipse-zero-radius": (lambda: Region("ellipse", (16, 16, 0, 8)), "bad-region"),
+    "ellipse-tiny-radius": (lambda: rasterize(Region("ellipse", (16, 16, 1e-300, 8)), 32, 32), "bad-region"),
+    "polygon-huge-vertex": (
+        lambda: rasterize(Region("polygon", ((1e300, -1e300), (-1e300, 1e300), (0, 1e-300))), 32, 32),
+        "bad-region",
+    ),
+    "rasterize-fractional-size": (lambda: rasterize(RECTANGLE, 32.5, 32), "bad-size"),
+    "kernel-nan-taps": (lambda: Kernel2D(np.full((3, 3), np.nan)), "bad-kernel"),
+    "kernel-string-taps": (lambda: Kernel2D([["a"] * 3] * 3), "bad-kernel"),
+    "frame-string": (lambda: Frame("abc"), "bad-frame"),
+    "frame-complex": (lambda: Frame(np.full((3, 8, 8), 0.5 + 0.5j)), "bad-frame"),
+    "frame-numeric-text": (lambda: Frame(np.full((3, 8, 8), "0.5")), "bad-frame"),
+    "kernel-none-tap": (lambda: Kernel2D([[0, 0, 0], [0, None, 0], [0, 0, 0]]), "bad-kernel"),
+    "binarize-complex": (lambda: binarize(np.full((4, 4), 0.5 + 0.1j)), "bad-prediction"),
+    "stack-string": (lambda: FeatureStack("abc", ("a",)), "bad-stack"),
+    "sample-region-fractional-size": (lambda: sample_region(default_rng(0), 30.5, 32), "bad-size"),
+    "sample-region-string-size": (lambda: sample_region(default_rng(0), "a", 32), "bad-size"),
+    "sample-splice-fractional-size": (lambda: sample_splice_spec(default_rng(0), 40.5), "bad-size"),
+    "splice-fractional-seed": (lambda: SpliceSpec(**{**SPLICE, "host_seed": 1.5}), "bad-seed"),
+    "splice-fractional-quality": (lambda: SpliceSpec(**{**SPLICE, "host_quality": 75.5}), "bad-quality"),
+    "splice-string-sigma": (lambda: SpliceSpec(**{**SPLICE, "donor_sigma": "a"}), "bad-sigma"),
+    "splice-region-as-tuple": (lambda: SpliceSpec(**{**SPLICE, "region": (8, 8, 12, 12)}), "bad-region"),
+    "inpaint-fractional-seed": (
+        lambda: simulate_inpaint(make_texture("grating", 1, 32), RECTANGLE, seed=1.5),
+        "bad-seed",
+    ),
+    "binarize-nan": (lambda: binarize(np.array([[0.2, np.nan]])), "bad-prediction"),
+    "binarize-empty": (lambda: binarize(np.zeros((0, 4))), "bad-prediction"),
+    "binarize-string": (lambda: binarize("abc"), "bad-prediction"),
+    "gaussian-fractional-seed": (
+        lambda: perturb_pair(make_texture("grating", 1, 32), np.zeros((32, 32)), PerturbSpec("gaussian"), seed=1.5),
+        "bad-seed",
+    ),
+    "band-mask-fractional-block": (lambda: band_mask(8.5, "low"), "bad-block"),
+    "band-reconstruct-fractional-block": (lambda: band_reconstruct(np.zeros((16, 16)), 8.5, "low"), "bad-block"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPES))
+def test_bad_input_raises_its_class_code(name):
+    # RuntimeWarning is an error under the pytest config, so none escapes either
+    call, code = ESCAPES[name]
+    with pytest.raises(PipelineError) as info:
+        call()
+    assert info.value.code == code
+
+
+def test_checked_fields_keep_the_values_of_valid_inputs():
+    gabor = GaborParams(sigma=np.float64(2), wavelength=4, gamma=0.5, phi=0, theta=np.pi / 4, ksize=np.int64(13))
+    assert (gabor.sigma, gabor.wavelength, gabor.ksize) == (2.0, 4.0, 13) and type(gabor.ksize) is int
+    spec = SpliceSpec(**{**SPLICE, "host_seed": np.int64(3), "host_quality": 90.0, "donor_sigma": np.float64(0.02)})
+    assert (spec.host_seed, spec.host_quality, spec.donor_sigma) == (3, 90, 0.02)
+    assert type(spec.host_seed) is int and type(spec.host_quality) is int and type(spec.donor_sigma) is float
+    polygon = Region("polygon", np.array([[8.0, 8.0], [8.0, 20.0], [20.5, 14.0]]))
+    assert polygon.geometry == ((8.0, 8.0), (8.0, 20.0), (20.5, 14.0))
+    assert Region("rectangle", (8.0, np.int64(8), 12, 12)).geometry == RECTANGLE.geometry
+    assert PerturbSpec("median", 5).param == 5.0 and PerturbSpec("compression").param == 75.0
+
+
+def test_exports_are_the_public_names_and_train_is_the_function():
+    public = {name for name, value in vars(tamperloc).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(tamperloc.__all__) == public and len(tamperloc.__all__) == 64
+    # the function shadows its module on the package; the module is reached by import_module
+    module = importlib.import_module("tamperloc.train")
+    assert isinstance(module, types.ModuleType) and tamperloc.train is module.train
+    assert hasattr(module, "STACK_CACHE_BYTES") and not hasattr(tamperloc.train, "STACK_CACHE_BYTES")
+
